@@ -40,9 +40,12 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        if any(type(v) is not int for v in images):
+            raise ValueError(f"permutation images must be ints: {images!r}")
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
 
     @property
     def dim(self) -> int:
@@ -117,7 +120,9 @@ class Plm:
         if d == 0:
             raise ValueError("empty column map")
         for j, r in enumerate(cm, start=1):
-            if not isinstance(r, int) or not 1 <= r <= d:
+            if type(r) is not int:
+                raise ValueError(f"column {j} maps to {r!r}, which is not an int")
+            if not 1 <= r <= d:
                 raise ValueError(f"column {j} maps to row {r!r}, outside 1..{d}")
 
     @property
@@ -126,6 +131,14 @@ class Plm:
 
     def __mul__(self, other: "Plm") -> "Plm":
         return multiply(self, other)
+
+
+def _plm_trusted(cm: tuple[int, ...]) -> Plm:
+    # Build a Plm without validation.  Only for column maps derived from
+    # already valid operands: validation happens once, at the boundary.
+    a = object.__new__(Plm)
+    object.__setattr__(a, "colmap", cm)
+    return a
 
 
 @dataclass(frozen=True)
@@ -248,7 +261,7 @@ def multiply(a: Plm, b: Plm) -> Plm:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
     am = a.colmap
-    return Plm(tuple(am[r - 1] for r in b.colmap))
+    return _plm_trusted(tuple([am[r - 1] for r in b.colmap]))
 
 
 def permute_rows(sigma: Permutation, a: Plm) -> Plm:
@@ -256,7 +269,7 @@ def permute_rows(sigma: Permutation, a: Plm) -> Plm:
     if sigma.dim != a.dim:
         raise DimensionMismatchError(f"dims {sigma.dim} != {a.dim}")
     im = sigma.images
-    return Plm(tuple(im[r - 1] for r in a.colmap))
+    return _plm_trusted(tuple([im[r - 1] for r in a.colmap]))
 
 
 def permute_columns(tau: Permutation, a: Plm) -> Plm:
@@ -269,7 +282,10 @@ def permute_columns(tau: Permutation, a: Plm) -> Plm:
     if tau.dim != a.dim:
         raise DimensionMismatchError(f"dims {tau.dim} != {a.dim}")
     cm = a.colmap
-    return Plm(tuple(cm[r - 1] for r in tau.inverse().images))
+    out = [0] * len(cm)
+    for j, t in enumerate(tau.images):
+        out[t - 1] = cm[j]
+    return _plm_trusted(tuple(out))
 
 
 def first_row_ones(a: Plm) -> int:
@@ -281,6 +297,62 @@ def is_permutation(a: Plm) -> bool:
     return len(set(a.colmap)) == a.dim
 
 
+# Column-map kernels.  The structural route runs on raw column-map tuples
+# through these helpers, and the public classify / canonicalize / cplm_parts
+# delegate to them, so each case test and each block formula exists once.
+
+def _classify(cm: tuple[int, ...]) -> tuple[str, object]:
+    # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
+    # the column of the lone first-row 1, or ("iplm", None).
+    d = len(cm)
+    z = cm.count(1)
+    if z == d:
+        return "rowplm", 1
+    m = cm[0]
+    if cm.count(m) == d:
+        return "rowplm", m
+    if z == 0:
+        return "cplm", False
+    if z == 1:
+        c = cm.index(1) + 1
+        if c == 1:
+            return "cplm", True
+        return "pcplm", c
+    return "iplm", None
+
+
+def _free_row(cm: tuple[int, ...]) -> int:
+    # The smallest row that is zero throughout columns 2..d.
+    hit = set(cm[1:])
+    r = 1
+    while r in hit:
+        r += 1
+    return r
+
+
+def _swap_rows(cm: tuple[int, ...], r: int) -> tuple[int, ...]:
+    # Relabel rows by the transposition (1 r).
+    return tuple([r if x == 1 else 1 if x == r else x for x in cm])
+
+
+def _swap_columns(cm: tuple[int, ...], c: int) -> tuple[int, ...]:
+    # Relabel columns by the transposition (1 c).
+    out = list(cm)
+    out[0], out[c - 1] = cm[c - 1], cm[0]
+    return tuple(out)
+
+
+def _tail(cm: tuple[int, ...]) -> tuple[int, ...]:
+    # Rows 2..d of column 1, as 0/1 entries.
+    first = cm[0]
+    return tuple([1 if first == i else 0 for i in range(2, len(cm) + 1)])
+
+
+def _plc(cm: tuple[int, ...]) -> tuple[int, ...]:
+    # A CPLM's column map with row 1 and column 1 deleted.
+    return tuple([r - 1 for r in cm[1:]])
+
+
 def classify(a: Plm) -> PlmClass:
     """Sort a PLM into exactly one structural class.
 
@@ -288,21 +360,13 @@ def classify(a: Plm) -> PlmClass:
     also canonical but is reported as a row PLM.  The PCPLM witness returned is
     the transposition moving the lone first-row 1 into column 1.
     """
-    cm = a.colmap
-    d = len(cm)
-    z = cm.count(1)
-    if z == d:
-        return PlmClass.row(1)
-    m = cm[0]
-    if all(r == m for r in cm):
-        return PlmClass.row(m)
-    if z == 0:
-        return PlmClass.cplm(leading=False)
-    if z == 1:
-        c = cm.index(1) + 1
-        if c == 1:
-            return PlmClass.cplm(leading=True)
-        return PlmClass.pcplm(Permutation.transposition(d, 1, c))
+    kind, detail = _classify(a.colmap)
+    if kind == "rowplm":
+        return PlmClass.row(detail)
+    if kind == "cplm":
+        return PlmClass.cplm(leading=detail)
+    if kind == "pcplm":
+        return PlmClass.pcplm(Permutation.transposition(a.dim, 1, detail))
     return PlmClass.iplm()
 
 
@@ -314,28 +378,20 @@ def canonicalize(a: Plm) -> tuple[Permutation, Plm]:
     2..d.  Such a row always exists because columns 2..d occupy at most d-1
     rows.  Note the one non-canonical row PLM, R_1, lands on R_2.
     """
-    d = a.dim
-    hit = set(a.colmap[1:])
-    r = next(i for i in range(1, d + 1) if i not in hit)
+    r = _free_row(a.colmap)
     if r == 1:
-        return Permutation.identity(d), a
-    sigma = Permutation.transposition(d, 1, r)
-    return sigma, permute_rows(sigma, a)
+        return Permutation.identity(a.dim), a
+    return Permutation.transposition(a.dim, 1, r), _plm_trusted(_swap_rows(a.colmap, r))
 
 
 def cplm_parts(a: Plm) -> CplmParts:
     """Split a CPLM (or a row PLM R_m with m > 1) into leading entry, first
     column tail, and PLC."""
-    cls = classify(a)
-    ok = cls.kind == "cplm" or (cls.kind == "rowplm" and cls.m > 1)
-    if not ok:
-        raise NotCplmError(f"not canonical: colmap {a.colmap}")
-    d = a.dim
-    first = a.colmap[0]
-    leading = 1 if first == 1 else 0
-    v = tuple(1 if first == i else 0 for i in range(2, d + 1))
-    plc = Plm(tuple(r - 1 for r in a.colmap[1:]))
-    return CplmParts(leading=leading, v=v, plc=plc)
+    cm = a.colmap
+    kind, detail = _classify(cm)
+    if not (kind == "cplm" or (kind == "rowplm" and detail > 1)):
+        raise NotCplmError(f"not canonical: colmap {cm}")
+    return CplmParts(leading=1 if cm[0] == 1 else 0, v=_tail(cm), plc=_plm_trusted(_plc(cm)))
 
 
 def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:
@@ -369,86 +425,83 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     blockwise with a recursive PLC product, a PCPLM is conjugated into
     canonical position by its column witness, and an IPLM is handled by
     regrouping its first-row ones into a leading run, building the product
-    block from the tail-column correction plus an integer block product, and
-    undoing the regrouping.
+    block from the tail-column correction plus the PLC columns, and undoing
+    the regrouping.
 
-    Always agrees with :func:`multiply`; the two routes share no formula.
+    The case analysis runs on raw column maps: the operands are validated once,
+    as ``Plm`` values, and no intermediate matrix is validated again.  Always
+    agrees with :func:`multiply`; the two routes share no formula.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
-    d = a.dim
-    ca = classify(a)
-    if ca.kind == "rowplm":
-        return row_plm(d, ca.m)
-    cb = classify(b)
-    if cb.kind == "rowplm":
-        return Plm((a.colmap[cb.m - 1],) * d)
-    sigma, acan = canonicalize(a)
-    prod = _multiply_canonical_left(acan, b, cb)
-    if sigma.is_identity():
-        return prod
-    return permute_rows(sigma.inverse(), prod)
+    return _plm_trusted(_smul(a.colmap, b.colmap))
 
 
-def _multiply_canonical_left(a: Plm, b: Plm, cb: PlmClass) -> Plm:
-    # a is a CPLM; b is anything but a row PLM.
-    d = a.dim
-    if cb.kind == "cplm":
-        pa = cplm_parts(a)
-        pb = cplm_parts(b)
-        plc = structural_multiply(pa.plc, pb.plc)
-        if pb.leading:
-            first = a.colmap[0]
+def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
+    # The structural product of two column maps of equal length.
+    d = len(am)
+    kind, detail = _classify(am)
+    if kind == "rowplm":
+        return am
+    kind, detail = _classify(bm)
+    if kind == "rowplm":
+        return (am[detail - 1],) * d
+    r = _free_row(am)
+    if r != 1:
+        am = _swap_rows(am, r)
+    # am is now a CPLM; bm is anything but a row PLM.
+    if kind in ("cplm", "pcplm"):
+        if kind == "pcplm":
+            bm = _swap_columns(bm, detail)
+        plc = _smul(_plc(am), _plc(bm))
+        if bm[0] == 1:
+            first = am[0]
         else:
-            # b's column 1 has its 1 in row x > 1, so the product's column 1
-            # is column x of a; that row is below row 1 since a is canonical.
-            x = b.colmap[0]
-            first = a.colmap[x - 1]
-        return Plm((first,) + tuple(r + 1 for r in plc.colmap))
-    if cb.kind == "pcplm":
-        tau = cb.tau
-        bt = permute_columns(tau, b)
-        inner = _multiply_canonical_left(a, bt, classify(bt))
-        return permute_columns(tau.inverse(), inner)
-    if cb.kind != "iplm":
-        raise AssertionError(f"unexpected class {cb.kind} for the right factor")
-    return _multiply_canonical_iplm(a, b)
+            # bm's column 1 has its 1 in row x = bm[0] > 1, so the product's
+            # column 1 is column x of am; that row is below row 1 since am is
+            # canonical.
+            first = am[bm[0] - 1]
+        prod = (first,) + tuple([x + 1 for x in plc])
+        if kind == "pcplm":
+            prod = _swap_columns(prod, detail)
+    elif kind == "iplm":
+        prod = _smul_iplm(am, bm)
+    else:
+        raise AssertionError(f"unexpected class {kind} for the right factor")
+    return prod if r == 1 else _swap_rows(prod, r)
 
 
-def _multiply_canonical_iplm(a: Plm, b: Plm) -> Plm:
-    # a is a CPLM; b has z first-row ones with 1 < z < d.  Regroup b's columns
-    # so the first-row ones fill positions 1..z, multiply in that position,
-    # then move the columns back.
-    d = a.dim
-    z = b.colmap.count(1)
-    ones = [j for j in range(1, d + 1) if b.colmap[j - 1] == 1]
-    rest = [j for j in range(1, d + 1) if b.colmap[j - 1] != 1]
-    tau_inv = Permutation(tuple(ones + rest))
-    tau = tau_inv.inverse()
-    bt = permute_columns(tau, b)
-    assert bt.colmap[:z] == (1,) * z and all(r >= 2 for r in bt.colmap[z:])
+def _smul_iplm(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
+    # am is a CPLM; bm has z first-row ones with 1 < z < d.  Regroup bm's
+    # columns so the first-row ones fill positions 1..z, multiply in that
+    # position, then move the columns back.
+    d = len(am)
+    z = bm.count(1)
+    order = [j for j in range(d) if bm[j] == 1] + [j for j in range(d) if bm[j] != 1]
+    bt = tuple([bm[j] for j in order])
+    assert bt[:z] == (1,) * z and all(r >= 2 for r in bt[z:])
 
-    pa = cplm_parts(a)
+    v = _tail(am)
     n = d - 1
-    # Correction block: the first z-1 columns repeat a's first-column tail.
-    grid = [[pa.v[i] if j < z - 1 else 0 for j in range(n)] for i in range(n)]
+    # Correction block, held column by column: the first z-1 columns repeat
+    # am's first-column tail.
+    cols = [list(v) if c < z - 1 else [0] * n for c in range(n)]
     # Add the PLC product against bt's trailing columns, left-padded with z-1
     # zero columns.  Each trailing column is a unit vector, so the product
     # column is just a column of the PLC.
-    plc_cm = pa.plc.colmap
+    plc_cm = _plc(am)
     for c in range(z - 1, n):
-        r = bt.colmap[c + 1] - 2           # row of bt's 1 within the lower block
-        grid[plc_cm[r] - 1][c] += 1
+        r = bt[c + 1] - 2           # row of bt's 1 within the lower block
+        cols[c][plc_cm[r] - 1] += 1
     # The sum must form the lower-right block of a PLM whose first row is
-    # [1]*z + [0]*(d-z) scaled by a's leading entry; validate before reading
+    # [1]*z + [0]*(d-z) scaled by am's leading entry; validate before reading
     # the column map off it.
     lower = []
-    for c in range(n):
-        col = [grid[i][c] for i in range(n)]
+    for c, col in enumerate(cols):
         if any(x not in (0, 1) for x in col):
             raise AssertionError(f"block entry out of 0/1 at column {c + 2}: {col}")
         if c < z - 1:
-            if tuple(col) != pa.v:
+            if tuple(col) != v:
                 raise AssertionError(f"leading-run column {c + 2} does not repeat the tail")
             lower.append(None)
         else:
@@ -456,7 +509,9 @@ def _multiply_canonical_iplm(a: Plm, b: Plm) -> Plm:
                 raise AssertionError(f"block column {c + 2} has {col.count(1)} ones")
             lower.append(col.index(1) + 2)
 
-    first = a.colmap[0]
-    cm = [first] * z + [lower[c] for c in range(z - 1, n)]
-    ct = Plm(tuple(cm))
-    return permute_columns(tau_inv, ct)
+    ct = [am[0]] * z + lower[z - 1:]
+    # Column k of the regrouped product goes back to column order[k].
+    out = [0] * d
+    for k, j in enumerate(order):
+        out[j] = ct[k]
+    return tuple(out)

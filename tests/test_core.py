@@ -96,6 +96,13 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 1))
 
+    def test_rejects_non_int_images(self):
+        # bool and float compare equal to ints, so only the exact type check
+        # catches them
+        for images in ((1.0, 2.0), (True, 2), (2, "1")):
+            with pytest.raises(ValueError):
+                Permutation(images)
+
 
 class TestPlmConstruction:
     def test_colmap_must_be_in_range(self):
@@ -105,6 +112,11 @@ class TestPlmConstruction:
             Plm((0, 1))
         with pytest.raises(ValueError):
             Plm(())
+
+    def test_rejects_non_int_entries(self):
+        for colmap in ((True, 2), (1.0, 2), (2, "1")):
+            with pytest.raises(ValueError):
+                Plm(colmap)
 
     def test_hashable_and_equal_by_value(self):
         assert Plm((2, 1)) == Plm([2, 1])
@@ -425,6 +437,20 @@ class TestStructuralMultiply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             structural_multiply(identity(2), identity(3))
+
+
+def test_boundary_dimension_mismatch():
+    # the column maps inside these are trusted, so the dimension check at the
+    # boundary is the only guard
+    a, b = identity(2), identity(3)
+    for call in (
+        lambda: multiply(a, b),
+        lambda: structural_multiply(b, a),
+        lambda: permute_rows(Permutation.identity(3), a),
+        lambda: permute_columns(Permutation.identity(2), b),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
     def test_dimension_one(self):
         assert structural_multiply(Plm((1,)), Plm((1,))) == Plm((1,))

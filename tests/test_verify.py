@@ -3,12 +3,15 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from plmonoid import DenseBinaryMatrix, Plm, SweepReport, identity, to_dense
+from plmonoid import verify
 from plmonoid.formats import dumps_report
 from plmonoid.verify import (
     _chunks,
+    _mul_chunk,
     enumerate_plms,
     oracle_multiply,
     plm_from_index,
@@ -63,6 +66,19 @@ class TestOracleMultiply:
         with pytest.raises(ValueError):
             oracle_multiply(to_dense(identity(2)), to_dense(identity(3)))
 
+    def test_matches_loop_product_exhaustive_d3(self):
+        # the numpy product against the plain triple loop it replaced
+        denses = [to_dense(p) for p in enumerate_plms(3)]
+        arrays = [np.array(m.entries) for m in denses]
+        for a, arr_a in zip(denses, arrays):
+            for b, arr_b in zip(denses, arrays):
+                loop = tuple(
+                    tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(3)) for j in range(3))
+                    for i in range(3)
+                )
+                assert oracle_multiply(a, b).entries == loop
+                assert oracle_multiply(arr_a, arr_b).tolist() == [list(r) for r in loop]
+
 
 class TestSweepReport:
     def test_json_keys_and_passed(self):
@@ -94,6 +110,45 @@ class TestMultiplicationSweep:
             assert r.passed
             assert (r.sweep, r.d, r.cases) == ("mul", d, cases)
             assert r.findings == {}
+
+    def test_wrong_structural_product_is_one_failure_record(self, monkeypatch):
+        real = verify.structural_multiply
+
+        def wrong_on_one_pair(a, b):
+            if (a.colmap, b.colmap) == ((1, 2), (2, 1)):
+                return Plm((1, 1))
+            return real(a, b)
+
+        monkeypatch.setattr(verify, "structural_multiply", wrong_on_one_pair)
+        r = sweep_multiplication(2)
+        # pair (1 2) x (2 1) is left operand 1, right operand 2 of 4
+        assert r.failures == [
+            {
+                "index": 6,
+                "a": [1, 2],
+                "b": [2, 1],
+                "multiply": [2, 1],
+                "structural": [1, 1],
+                "oracle": [2, 1],
+            }
+        ]
+        assert not r.passed
+
+    def test_chunks_cut_inside_rows_find_the_same_failures(self, monkeypatch):
+        real = verify.structural_multiply
+
+        def wrong_on_some_pairs(a, b):
+            if a.colmap[0] == b.colmap[-1] == 2:
+                return Plm((3, 3, 3))
+            return real(a, b)
+
+        monkeypatch.setattr(verify, "structural_multiply", wrong_on_some_pairs)
+        whole = _mul_chunk(3, 0, 729)
+        assert len(whole) > 1
+        # 27 pairs per left operand: every cut below falls inside a row
+        cuts = [0, 1, 40, 100, 364, 700, 728, 729]
+        parts = [f for start, stop in zip(cuts, cuts[1:]) for f in _mul_chunk(3, start, stop)]
+        assert parts == whole
 
 
 class TestPeriodSweep:
@@ -205,6 +260,12 @@ class TestReportStability:
         assert stable_bytes(sweep_multiplication(2, workers=1)) == stable_bytes(
             sweep_multiplication(2, workers=3)
         )
+
+    def test_multiplication_sweep_d3_worker_invariance(self):
+        # two workers split the 729 pairs inside a row of 27
+        serial = stable_bytes(sweep_multiplication(3, workers=1))
+        for workers in (2, 3):
+            assert stable_bytes(sweep_multiplication(3, workers=workers)) == serial
 
     def test_stable_json_has_zero_elapsed(self):
         r = sweep_period(2)
