@@ -438,6 +438,9 @@ class TestStructuralMultiply:
         with pytest.raises(DimensionMismatchError):
             structural_multiply(identity(2), identity(3))
 
+    def test_dimension_one(self):
+        assert structural_multiply(Plm((1,)), Plm((1,))) == Plm((1,))
+
 
 def test_boundary_dimension_mismatch():
     # the column maps inside these are trusted, so the dimension check at the
@@ -451,9 +454,6 @@ def test_boundary_dimension_mismatch():
     ):
         with pytest.raises(DimensionMismatchError):
             call()
-
-    def test_dimension_one(self):
-        assert structural_multiply(Plm((1,)), Plm((1,))) == Plm((1,))
 
 
 def test_dense_binary_matrix_validation():
