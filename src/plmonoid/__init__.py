@@ -54,6 +54,7 @@ from .spectral import (
 from .stochastic import (
     Decomposition,
     StochasticMatrix,
+    check_decomposition,
     convex_combine,
     decompose,
     first_positive_plm,

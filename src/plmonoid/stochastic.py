@@ -9,7 +9,10 @@ step zeroes at least one more entry while keeping the remainder nonnegative
 with uniform column sums, so at most d^2 terms appear and the weights sum to
 1 exactly.
 
-All arithmetic uses ``fractions.Fraction``; nothing here rounds.
+Nothing here rounds.  Matrices and weights are held as ``fractions.Fraction``
+at the interface; the decomposition, recomposition and verification loops
+scale them by the least common multiple of their denominators and run on
+exact Python ints, converting back to ``Fraction`` only for the results.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import Plm
+from .core import Plm, _plm_trusted
 from .errors import (
     DimensionMismatchError,
     NotLeftStochasticError,
@@ -38,7 +42,7 @@ class StochasticMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple([tuple([Fraction(x) for x in row]) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         d = len(rows)
         if d == 0:
@@ -79,7 +83,7 @@ class Decomposition:
     terms: tuple[tuple[Fraction, Plm], ...]
 
     def __post_init__(self):
-        terms = tuple((Fraction(lam), p) for lam, p in self.terms)
+        terms = tuple([(Fraction(lam), p) for lam, p in self.terms])
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise WeightSumNotOneError("a decomposition needs at least one term")
@@ -91,9 +95,7 @@ class Decomposition:
                 raise ValueError(f"weight {lam} outside (0, 1]")
         if len(terms) > d * d:
             raise ValueError(f"{len(terms)} terms exceed the {d * d} bound")
-        total = sum(lam for lam, _ in terms)
-        if total != 1:
-            raise WeightSumNotOneError(f"weights sum to {total}, not 1")
+        _scaled_weights([lam for lam, _ in terms])
 
     @property
     def dim(self) -> int:
@@ -135,50 +137,156 @@ def first_positive_plm(m: StochasticMatrix, atol=None) -> Plm:
     return Plm(first_positive_rows(m, atol=atol))
 
 
+def _scaled(xs, scale: int) -> list[int]:
+    # scale * x for each exact rational x, as ints; scale is a multiple of
+    # every denominator.
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _scaled_weights(lams: list[Fraction]) -> tuple[int, list[int]]:
+    # The least common multiple of the weight denominators and the weights
+    # scaled by it.  Raises unless they sum to exactly 1.
+    scale = lcm(*[lam.denominator for lam in lams])
+    weights = _scaled(lams, scale)
+    if sum(weights) != scale:
+        raise WeightSumNotOneError(f"weights sum to {Fraction(sum(weights), scale)}, not 1")
+    return scale, weights
+
+
+def _int_columns(m: StochasticMatrix, scale: int) -> list[list[int]]:
+    # The columns of scale * m as ints.
+    return [_scaled(col, scale) for col in zip(*m.entries)]
+
+
+def _accumulate(weights: list[int], colmaps, d: int) -> list[list[int]]:
+    # The columns of sum(weight * PLM), for int weights and raw column maps.
+    cols = [[0] * d for _ in range(d)]
+    for w, cm in zip(weights, colmaps):
+        for col, r in zip(cols, cm):
+            col[r - 1] += w
+    return cols
+
+
 def decompose(m: StochasticMatrix) -> Decomposition:
     """Greedy exact decomposition into a convex combination of PLMs.
 
     Raises :class:`NotLeftStochasticError` unless every column sums to 1.
-    The invariants the construction guarantees (remainder stays nonnegative,
-    column sums stay uniform, the zero count strictly grows) are re-checked at
-    every step as a defense against arithmetic slips.
+
+    The greedy loop runs on the ints ``L * m``, where ``L`` is the least
+    common multiple of the entry denominators, so the remainder starts with
+    every column summing to ``L``.  Entries only decrease, so each column
+    keeps a pointer to its first positive row that only moves down.  A step
+    subtracts the int weight ``lam`` (the smallest picked entry) from the d
+    picked entries and emits ``Fraction(lam, L)``.  The invariants the
+    construction guarantees are re-checked on every step on the d entries it
+    touched, in O(d): none went negative, at least one became zero, and every
+    column's running total still equals the remaining weight.
     """
     d = m.dim
-    for j, s in enumerate(m.column_sums(), start=1):
-        if s != 1:
-            raise NotLeftStochasticError(f"column {j} sums to {s}, not 1", column=j, total=s)
+    scale = lcm(*[x.denominator for row in m.entries for x in row])
+    cols = _int_columns(m, scale)
+    for j, col in enumerate(cols, start=1):
+        if sum(col) != scale:
+            total = Fraction(sum(col), scale)
+            raise NotLeftStochasticError(
+                f"column {j} sums to {total}, not 1", column=j, total=total
+            )
 
-    work = [list(row) for row in m.entries]
-    zeros = sum(1 for row in work for x in row if x == 0)
-    remaining = Fraction(1)
+    first = [0] * d
+    col_totals = [scale] * d
+    remaining = scale
     terms: list[tuple[Fraction, Plm]] = []
     while remaining > 0:
-        picks = []
-        for j in range(d):
-            i = next(i for i in range(d) if work[i][j] > 0)
-            picks.append(i)
-        lam = min(work[picks[j]][j] for j in range(d))
-        for j in range(d):
-            work[picks[j]][j] -= lam
-        terms.append((lam, Plm(tuple(i + 1 for i in picks))))
+        for j, col in enumerate(cols):
+            i = first[j]
+            while i < d and col[i] == 0:
+                i += 1
+            if i == d:
+                raise AssertionError(f"column {j + 1} has no positive entry left")
+            first[j] = i
+        lam = min([col[i] for col, i in zip(cols, first)])
+        new_zero = False
+        for j, col in enumerate(cols):
+            i = first[j]
+            x = col[i] - lam
+            if x < 0:
+                raise AssertionError("remainder went negative")
+            new_zero = new_zero or x == 0
+            col_totals[j] += x - col[i]
+            col[i] = x
         remaining -= lam
-
-        new_zeros = sum(1 for row in work for x in row if x == 0)
-        if new_zeros <= zeros:
+        if not new_zero:
             raise AssertionError("a step failed to zero a new entry")
-        zeros = new_zeros
-        if any(x < 0 for row in work for x in row):
-            raise AssertionError("remainder went negative")
-        if any(sum(work[i][j] for i in range(d)) != remaining for j in range(d)):
+        if col_totals.count(remaining) != d:
             raise AssertionError("column sums drifted apart")
+        terms.append((Fraction(lam, scale), _plm_trusted(tuple([i + 1 for i in first]))))
     return Decomposition(tuple(terms))
+
+
+def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
+    """Re-verify ``dec`` as a decomposition of ``m`` from its terms alone.
+
+    Returns the problems found, in this order, or an empty list:
+    ``recompose mismatch``, ``weights do not sum to 1``, ``weight outside
+    (0, 1]``, ``too many terms``, then the first fault of the remainder walk,
+    which subtracts the terms from ``m`` one by one and recounts every entry
+    after each: ``negative remainder entry``, ``zero count did not grow`` or
+    ``non-uniform column sums``, else ``nonzero final remainder`` if the walk
+    ends on a nonzero remainder.  Everything runs on ints scaled by the least
+    common multiple of all denominators.  The terms are not trusted to satisfy
+    :class:`Decomposition`'s own validation.  Raises
+    :class:`DimensionMismatchError` when a term's dimension differs from
+    ``m``'s.
+    """
+    d = m.dim
+    for _, p in dec.terms:
+        if p.dim != d:
+            raise DimensionMismatchError(f"term dims {p.dim} != {d}")
+    scale = lcm(
+        *[x.denominator for row in m.entries for x in row],
+        *[lam.denominator for lam, _ in dec.terms],
+    )
+    cols = _int_columns(m, scale)
+    weights = _scaled([lam for lam, _ in dec.terms], scale)
+    colmaps = [p.colmap for _, p in dec.terms]
+    problems = []
+    if _accumulate(weights, colmaps, d) != cols:
+        problems.append("recompose mismatch")
+    if sum(weights) != scale:
+        problems.append("weights do not sum to 1")
+    if not all(0 < w <= scale for w in weights):
+        problems.append("weight outside (0, 1]")
+    if len(weights) > d * d:
+        problems.append("too many terms")
+    zeros = sum(col.count(0) for col in cols)
+    running = sum(weights)
+    for w, cm in zip(weights, colmaps):
+        for col, r in zip(cols, cm):
+            col[r - 1] -= w
+        running -= w
+        if min(map(min, cols)) < 0:
+            problems.append("negative remainder entry")
+            break
+        new_zeros = sum(col.count(0) for col in cols)
+        if new_zeros <= zeros:
+            problems.append("zero count did not grow")
+            break
+        zeros = new_zeros
+        if list(map(sum, cols)).count(running) != d:
+            problems.append("non-uniform column sums")
+            break
+    else:
+        if any(map(any, cols)):
+            problems.append("nonzero final remainder")
+    return problems
 
 
 def convex_combine(terms) -> StochasticMatrix:
     """Sum weight * PLM over the given (weight, Plm) pairs, exactly.
 
     Weights must lie in [0, 1] and sum to exactly 1; zero weights are allowed
-    here even though :class:`Decomposition` excludes them.
+    here even though :class:`Decomposition` excludes them.  The sum runs on
+    ints scaled by the least common multiple of the weight denominators.
     """
     terms = [(Fraction(lam), p) for lam, p in terms]
     if not terms:
@@ -189,14 +297,9 @@ def convex_combine(terms) -> StochasticMatrix:
             raise DimensionMismatchError(f"term dims {p.dim} != {d}")
         if not 0 <= lam <= 1:
             raise ValueError(f"weight {lam} outside [0, 1]")
-    total = sum(lam for lam, _ in terms)
-    if total != 1:
-        raise WeightSumNotOneError(f"weights sum to {total}, not 1")
-    grid = [[Fraction(0)] * d for _ in range(d)]
-    for lam, p in terms:
-        for j in range(d):
-            grid[p.colmap[j] - 1][j] += lam
-    return StochasticMatrix(tuple(tuple(row) for row in grid))
+    scale, weights = _scaled_weights([lam for lam, _ in terms])
+    cols = _accumulate(weights, [p.colmap for _, p in terms], d)
+    return StochasticMatrix(tuple([tuple([Fraction(x, scale) for x in row]) for row in zip(*cols)]))
 
 
 def recompose(dec: Decomposition) -> StochasticMatrix:
@@ -217,7 +320,7 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
     cols = []
     for _ in range(d):
         q = rng.randint(1, max_denominator)
-        cuts = sorted(rng.randint(0, q) for _ in range(d - 1))
+        cuts = sorted([rng.randint(0, q) for _ in range(d - 1)])
         bounds = [0] + cuts + [q]
         cols.append([Fraction(bounds[k + 1] - bounds[k], q) for k in range(d)])
-    return StochasticMatrix(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+    return StochasticMatrix(tuple([tuple([cols[j][i] for j in range(d)]) for i in range(d)]))

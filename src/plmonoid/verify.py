@@ -16,7 +16,6 @@ routes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .core import (
 )
 from .errors import RootFindingError
 from .spectral import DEFAULT_TOL, eigen_check, periodicity, power, power_cycle
-from .stochastic import decompose, random_left_stochastic, recompose
+from .stochastic import check_decomposition, decompose, random_left_stochastic
 
 RANDOM_MAX_DENOMINATOR = 1000
 
@@ -61,8 +60,10 @@ def oracle_multiply(a, b):
     """Textbook integer matrix product; independent of column-map composition.
 
     Takes two :class:`DenseBinaryMatrix` operands and returns their product as
-    one.  The multiplication sweep passes square int arrays instead (its
-    stacked dense forms) and gets the int array product back, unchecked.
+    one; raises ``ValueError`` naming the first entry above 1 (row-major,
+    1-based) when the product is not a 0/1 matrix.  The multiplication sweep
+    passes square int arrays instead (its stacked dense forms) and gets the
+    int array product back, unchecked.
     """
     if not isinstance(a, DenseBinaryMatrix):
         return np.matmul(a, b)
@@ -70,7 +71,14 @@ def oracle_multiply(a, b):
         raise ValueError(f"dims {a.dim} != {b.dim}")
     rows_a = np.array(a.entries, dtype=np.int64)
     rows_b = np.array(b.entries, dtype=np.int64)
-    return DenseBinaryMatrix(np.matmul(rows_a, rows_b).tolist())
+    product = np.matmul(rows_a, rows_b)
+    above_one = np.argwhere(product > 1)
+    if len(above_one):
+        i, j = above_one[0].tolist()
+        raise ValueError(
+            f"product is not binary: entry {product[i, j]} at row {i + 1}, column {j + 1}"
+        )
+    return DenseBinaryMatrix(product.tolist())
 
 
 @dataclass
@@ -121,6 +129,10 @@ def _run_chunked(worker, args, total: int, workers: int):
     if workers <= 1:
         parts.append(worker(*args, 0, total))
     else:
+        # Imported here: it loads multiprocessing, about 1.4 MB of resident
+        # memory that every single-worker caller, the CLI included, would pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         spans = _chunks(total, workers)
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(worker, *args, start, stop) for start, stop in spans]
@@ -362,51 +374,21 @@ def _case_seed(seed: int, case: int) -> int:
 
 def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
     """Random left stochastic matrices: decompose, then re-verify everything
-    from the output alone (round trip, weight sum, term bound, and the
-    step-by-step remainder walk)."""
+    from the output alone with :func:`check_decomposition` (round trip, weight
+    sum, term bound, and the step-by-step remainder walk)."""
     t0 = time.perf_counter()
     failures = []
     max_terms = 0
     for case in range(n_cases):
         case_seed = _case_seed(seed, case)
         m = random_left_stochastic(d, case_seed, RANDOM_MAX_DENOMINATOR)
-        problems = []
         try:
             dec = decompose(m)
         except Exception as exc:
             failures.append({"case": case, "seed": case_seed, "problems": [f"decompose: {exc}"]})
             continue
         max_terms = max(max_terms, len(dec.terms))
-        if recompose(dec) != m:
-            problems.append("recompose mismatch")
-        if sum(lam for lam, _ in dec.terms) != 1:
-            problems.append("weights do not sum to 1")
-        if not all(0 < lam <= 1 for lam, _ in dec.terms):
-            problems.append("weight outside (0, 1]")
-        if len(dec.terms) > d * d:
-            problems.append("too many terms")
-        # Remainder walk from the reported terms only.
-        work = [list(row) for row in m.entries]
-        zeros = sum(1 for row in work for x in row if x == 0)
-        running = sum(lam for lam, _ in dec.terms)
-        for lam, p in dec.terms:
-            for j in range(d):
-                work[p.colmap[j] - 1][j] -= lam
-            running -= lam
-            if any(x < 0 for row in work for x in row):
-                problems.append("negative remainder entry")
-                break
-            new_zeros = sum(1 for row in work for x in row if x == 0)
-            if new_zeros <= zeros:
-                problems.append("zero count did not grow")
-                break
-            zeros = new_zeros
-            if any(sum(work[i][j] for i in range(d)) != running for j in range(d)):
-                problems.append("non-uniform column sums")
-                break
-        else:
-            if any(x != 0 for row in work for x in row):
-                problems.append("nonzero final remainder")
+        problems = check_decomposition(m, dec)
         if problems:
             failures.append({"case": case, "seed": case_seed, "problems": problems})
     return SweepReport(

@@ -1,9 +1,11 @@
 """End-to-end CLI runs, in process, with frozen output and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from plmonoid import Decomposition, Plm, cli
 from plmonoid.cli import main
 from plmonoid.formats import dumps_report
 
@@ -136,6 +138,18 @@ class TestDecompose:
         code, out, _ = run("decompose", files["b.txt"], "--check")
         assert code == 0
         assert json.loads(out) == B_DECOMPOSITION
+
+    def test_check_flag_reports_a_wrong_decomposition(self, run, files, monkeypatch):
+        # A valid Decomposition, but not of the input matrix.
+        wrong = Decomposition(((Fraction(1), Plm((1, 2, 1))),))
+        monkeypatch.setattr(cli, "decompose", lambda m: wrong)
+        code, out, err = run("decompose", files["b.txt"], "--check")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: decomposition check failed: recompose mismatch",
+            "error: decomposition check failed: negative remainder entry",
+        ]
 
     def test_bad_column_sums_exit_4(self, run, files):
         code, _, err = run("decompose", files["bad.txt"])

@@ -1,17 +1,27 @@
 """Property tests on random PLMs: the three multiplication routes, associativity,
-and the documented contracts of classify and canonicalize.
+and the documented contracts of classify and canonicalize; and on hostile left
+stochastic matrices: the integer greedy decomposition against a Fraction
+reference, and the verifier on its output.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
-operands up to d = 12.
+operands up to d = 12, and the seeded decomposition sweep (denominators up to
+1000, d <= 8) with prime denominators up to 2**61 - 1 and d up to 16.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmonoid import (
+    NotLeftStochasticError,
     Plm,
+    StochasticMatrix,
     canonicalize,
+    check_decomposition,
     classify,
+    decompose,
     from_dense,
     multiply,
     permute_columns,
@@ -86,3 +96,123 @@ def test_classify_contract(a):
     else:
         assert cls.kind == "iplm"
         assert 1 < cm.count(1) < d
+
+
+# --- decomposition -----------------------------------------------------------
+
+MAX_STOCHASTIC_D = 16
+# Sixteen distinct primes, the largest 2**61 - 1 and the five primes just below
+# it, so that a matrix whose columns use different ones has a common
+# denominator of several hundred bits.
+PRIMES = (
+    3, 7, 127, 8191, 65_537, 131_071, 524_287, 998_244_353, 1_000_000_007, 2**31 - 1,
+    2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229, 2**61 - 259, 2**61 - 283,
+)
+
+
+def fraction_greedy(m):
+    """The greedy decomposition as it ran on ``Fraction`` entries, kept as the
+    reference: each step picks every column's first positive row and
+    subtracts the smallest picked entry.  Its per-step invariant re-checks
+    are left out; ``check_decomposition`` covers them."""
+    d = m.dim
+    work = [list(row) for row in m.entries]
+    remaining = Fraction(1)
+    terms = []
+    while remaining > 0:
+        picks = [next(i for i in range(d) if work[i][j] > 0) for j in range(d)]
+        lam = min(work[picks[j]][j] for j in range(d))
+        for j in range(d):
+            work[picks[j]][j] -= lam
+        terms.append((lam, tuple(i + 1 for i in picks)))
+        remaining -= lam
+    return terms
+
+
+def from_columns(cols):
+    return StochasticMatrix(tuple(zip(*cols)))
+
+
+def split_column(d, q):
+    # q split into d nonnegative parts by sorted cut points, over q.
+    def parts(cuts):
+        bounds = [0, *sorted(cuts), q]
+        return [Fraction(hi - lo, q) for lo, hi in zip(bounds, bounds[1:])]
+
+    return st.lists(st.integers(0, q), min_size=d - 1, max_size=d - 1).map(parts)
+
+
+def prime_columns(d):
+    # Each column over its own prime denominator.
+    return st.permutations(PRIMES).flatmap(
+        lambda qs: st.tuples(*[split_column(d, q) for q in qs[:d]]).map(list)
+    )
+
+
+def unit_column(d):
+    return st.integers(0, d - 1).map(lambda r: [Fraction(int(i == r)) for i in range(d)])
+
+
+def dense_column(d):
+    # Every entry positive, with a huge common denominator.
+    def normalize(xs):
+        return [Fraction(x, sum(xs)) for x in xs]
+
+    return st.lists(st.integers(1, 2**61 - 1), min_size=d, max_size=d).map(normalize)
+
+
+def hostile_stochastic(d):
+    """Left stochastic matrices of three kinds: every column split over a
+    prime denominator, a PLM (all columns 0/1), or a PLM with one dense column."""
+    prime = prime_columns(d)
+    plm = st.lists(unit_column(d), min_size=d, max_size=d)
+    one_dense = st.tuples(plm, dense_column(d), st.integers(0, d - 1)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] + 1:]
+    )
+    return st.one_of(prime, plm, one_dense).map(from_columns)
+
+
+def stochastic():
+    return st.integers(1, MAX_STOCHASTIC_D).flatmap(hostile_stochastic)
+
+
+DECOMPOSE_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+@DECOMPOSE_SETTINGS
+@given(stochastic())
+def test_decompose_matches_fraction_greedy(m):
+    dec = decompose(m)
+    assert [(lam, p.colmap) for lam, p in dec.terms] == fraction_greedy(m)
+    assert check_decomposition(m, dec) == []
+
+
+def column_sum_error(m):
+    """``(column, total)`` of the first column not summing to 1, as the
+    ``Fraction`` check reported it, or None."""
+    for j, col in enumerate(zip(*m.entries), start=1):
+        total = sum(col)
+        if total != 1:
+            return j, total
+    return None
+
+
+def nonnegative_matrix(d):
+    entry = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    row = st.tuples(*[entry] * d)
+    return st.tuples(*[row] * d).map(StochasticMatrix)
+
+
+@DECOMPOSE_SETTINGS
+@given(st.integers(1, 6).flatmap(nonnegative_matrix))
+def test_column_sum_error_is_unchanged(m):
+    expected = column_sum_error(m)
+    if expected is None:
+        assert check_decomposition(m, decompose(m)) == []
+        return
+    with pytest.raises(NotLeftStochasticError) as err:
+        decompose(m)
+    column, total = expected
+    assert (err.value.column, err.value.total) == (column, total)
+    assert type(err.value.total) is Fraction
+    assert str(err.value) == f"column {column} sums to {total}, not 1"

@@ -12,6 +12,7 @@ from plmonoid import (
     StochasticMatrix,
     WeightSumNotOneError,
     ZeroColumnError,
+    check_decomposition,
     convex_combine,
     decompose,
     first_positive_plm,
@@ -161,6 +162,92 @@ class TestDecompose:
             dec = decompose(m)
             is_plm = all(x in (0, 1) for row in m.entries for x in row)
             assert (dec.terms[0][0] == 1) == is_plm
+
+
+def unchecked(*terms):
+    """A Decomposition built without its own validation, as a faulty producer
+    could hand one over."""
+    dec = object.__new__(Decomposition)
+    object.__setattr__(dec, "terms", tuple((F(lam), p) for lam, p in terms))
+    return dec
+
+
+I2 = StochasticMatrix.from_plm(identity(2))
+HALVES = StochasticMatrix(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
+SWAP = Plm((2, 1))
+
+
+class TestCheckDecomposition:
+    def test_clean_on_decompose_output(self):
+        assert check_decomposition(B, decompose(B)) == []
+        for seed in range(10):
+            m = random_left_stochastic(6, seed=seed)
+            assert check_decomposition(m, decompose(m)) == []
+
+    # One hand-built faulty decomposition per problem string.  A fault in the
+    # walk that leaves the round trip intact is rare: entries only decrease,
+    # so a negative or leftover remainder also changes the recomposition.
+    @pytest.mark.parametrize(
+        "m, dec, expected",
+        [
+            pytest.param(
+                HALVES,
+                Decomposition(((F(1, 4), row_plm(2, 1)), (F(3, 4), row_plm(2, 2)))),
+                ["recompose mismatch", "zero count did not grow"],
+                id="recompose mismatch",
+            ),
+            pytest.param(
+                I2,
+                Decomposition(((F(1), SWAP),)),
+                ["recompose mismatch", "negative remainder entry"],
+                id="negative remainder entry",
+            ),
+            pytest.param(
+                HALVES,
+                Decomposition(
+                    ((F(1, 4), row_plm(2, 1)), (F(1, 4), row_plm(2, 2))) * 2
+                ),
+                ["zero count did not grow"],
+                id="zero count did not grow",
+            ),
+            pytest.param(
+                StochasticMatrix(((F(1, 2), F(0)), (F(0), F(1)))),
+                Decomposition(((F(1, 2), identity(2)), (F(1, 2), row_plm(2, 2)))),
+                ["recompose mismatch", "non-uniform column sums"],
+                id="non-uniform column sums",
+            ),
+            pytest.param(
+                I2,
+                unchecked(),
+                ["recompose mismatch", "weights do not sum to 1", "nonzero final remainder"],
+                id="nonzero final remainder",
+            ),
+            pytest.param(
+                I2,
+                unchecked((F(1, 2), identity(2))),
+                ["recompose mismatch", "weights do not sum to 1", "zero count did not grow"],
+                id="weights do not sum to 1",
+            ),
+            pytest.param(
+                I2,
+                unchecked((F(0), SWAP), (F(1), identity(2))),
+                ["weight outside (0, 1]", "zero count did not grow"],
+                id="weight outside (0, 1]",
+            ),
+            pytest.param(
+                StochasticMatrix(((F(1),),)),
+                unchecked((F(1, 2), identity(1)), (F(1, 2), identity(1))),
+                ["too many terms", "zero count did not grow"],
+                id="too many terms",
+            ),
+        ],
+    )
+    def test_reports_each_fault(self, m, dec, expected):
+        assert check_decomposition(m, dec) == expected
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            check_decomposition(B, Decomposition(((F(1), identity(2)),)))
 
 
 class TestConvexCombine:

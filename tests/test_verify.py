@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from plmonoid import DenseBinaryMatrix, Plm, SweepReport, identity, to_dense
+from plmonoid import (
+    Decomposition,
+    DenseBinaryMatrix,
+    Plm,
+    SweepReport,
+    check_decomposition,
+    identity,
+    to_dense,
+)
 from plmonoid import verify
 from plmonoid.formats import dumps_report
 from plmonoid.verify import (
@@ -65,6 +73,13 @@ class TestOracleMultiply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             oracle_multiply(to_dense(identity(2)), to_dense(identity(3)))
+
+    def test_non_binary_product_names_the_first_entry(self):
+        a = DenseBinaryMatrix(((1, 1), (0, 0)))
+        b = DenseBinaryMatrix(((1, 0), (1, 0)))
+        message = r"^product is not binary: entry 2 at row 1, column 1$"
+        with pytest.raises(ValueError, match=message):
+            oracle_multiply(a, b)
 
     def test_matches_loop_product_exhaustive_d3(self):
         # the numpy product against the plain triple loop it replaced
@@ -238,6 +253,17 @@ class TestDecomposeSweep:
         assert r.findings["seed"] == 7
         assert r.findings["term_bound"] == 9
         assert 1 <= r.findings["max_terms"] <= 9
+
+    def test_reports_the_verifier_problems(self, monkeypatch):
+        # Every case gets the same wrong decomposition: the identity.
+        wrong = Decomposition(((1, identity(3)),))
+        monkeypatch.setattr(verify, "decompose", lambda m: wrong)
+        r = sweep_decompose(3, n_cases=2, seed=7)
+        assert [f["case"] for f in r.failures] == [0, 1]
+        for f in r.failures:
+            m = verify.random_left_stochastic(3, f["seed"], verify.RANDOM_MAX_DENOMINATOR)
+            assert f["problems"] == check_decomposition(m, wrong)
+            assert f["problems"][0] == "recompose mismatch"
 
     def test_deterministic_for_a_seed(self):
         a = sweep_decompose(3, n_cases=10, seed=1)
