@@ -9,10 +9,11 @@ measured time going to stderr instead of the report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
-from .core import classify, multiply
+from .core import Plm, classify, multiply
 from .errors import (
     DimensionMismatchError,
     MatrixParseError,
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="allow d above 8")
 
     p = add("verify", "run a verification sweep")
-    p.add_argument("sweep", choices=["mul", "period", "eigen", "prerow", "decompose", "all"])
+    p.add_argument("sweep", choices=[*SWEEPS, "all"])
     p.add_argument("d", type=int)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
@@ -174,30 +175,33 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    from .verify import enumerate_plms
-
-    lines = "".join(plm_to_colmap_line(p) + "\n" for p in enumerate_plms(args.d))
-    _emit(lines, args.out)
+    lines = (
+        plm_to_colmap_line(Plm(cm)) + "\n"
+        for cm in itertools.product(range(1, args.d + 1), repeat=args.d)
+    )
+    if args.out:
+        with open(args.out, "w") as f:
+            f.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 
-def _run_sweep(name: str, args):
-    if name == "mul":
-        return sweep_multiplication(args.d)
-    if name == "period":
-        return sweep_period(args.d)
-    if name == "eigen":
-        return sweep_eigen(args.d, tol=args.tol)
-    if name == "prerow":
-        return sweep_prerow(args.d)
-    return sweep_decompose(args.d, n_cases=args.cases, seed=args.seed)
+# Sweep name -> run it from the parsed arguments; ``all`` runs them in this order.
+SWEEPS = {
+    "mul": lambda args: sweep_multiplication(args.d),
+    "period": lambda args: sweep_period(args.d),
+    "eigen": lambda args: sweep_eigen(args.d, tol=args.tol),
+    "prerow": lambda args: sweep_prerow(args.d),
+    "decompose": lambda args: sweep_decompose(args.d, n_cases=args.cases, seed=args.seed),
+}
 
 
 def cmd_verify(args) -> int:
     if _bad_tol(args.tol):
         return 2
-    names = ["mul", "period", "eigen", "prerow", "decompose"] if args.sweep == "all" else [args.sweep]
-    reports = [_run_sweep(name, args) for name in names]
+    names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
+    reports = [SWEEPS[name](args) for name in names]
     for report in reports:
         print(f"{report.sweep}: {report.elapsed_ms} ms", file=sys.stderr)
     if len(reports) == 1:

@@ -31,30 +31,46 @@ from .errors import (
 )
 
 
+# Entry types that convert to Fraction exactly; float and bool are refused.
+_EXACT_TYPES = (int, Fraction, str)
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Square matrix of nonnegative exact rationals (rows of columns of them).
 
-    Construction rejects negative entries; column sums are checked by
-    :func:`is_left_stochastic` and by the operations that need them, not here.
+    Entries must be exact: an ``int`` (not a ``bool``), a ``Fraction``, or a
+    string ``Fraction()`` parses (``"1/2"``, or an exact decimal such as
+    ``"0.1"``); a float would be stored as its binary approximation.
+    Construction rejects other types and negative entries; column sums are
+    checked by :func:`is_left_stochastic` and by the operations that need
+    them, not here.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple([tuple([Fraction(x) for x in row]) for row in self.entries])
-        object.__setattr__(self, "entries", rows)
-        d = len(rows)
+        d = len(self.entries)
         if d == 0:
             raise ValueError("empty matrix")
-        for i, row in enumerate(rows, start=1):
+        rows = []
+        for i, row in enumerate(self.entries, start=1):
             if len(row) != d:
                 raise ValueError(f"not square: {d} rows but row {i} has {len(row)} entries")
+            entries = []
             for j, x in enumerate(row, start=1):
+                if type(x) not in _EXACT_TYPES:
+                    raise ValueError(
+                        f"entry {x!r} at row {i}, column {j} is not an int, Fraction or str"
+                    )
+                x = Fraction(x)
                 if x < 0:
                     raise NotLeftStochasticError(
                         f"negative entry {x} at row {i}, column {j}", column=j
                     )
+                entries.append(x)
+            rows.append(tuple(entries))
+        object.__setattr__(self, "entries", tuple(rows))
 
     @property
     def dim(self) -> int:

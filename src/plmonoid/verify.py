@@ -2,10 +2,14 @@
 
 Each sweep walks a deterministic index space (all PLMs of a dimension, all
 ordered pairs, or seeded random stochastic matrices), records failures and
-findings, and returns a :class:`SweepReport`.  Reports are reproducible: for a
-fixed dimension, tolerance, and seed the content is identical across runs and
-across worker counts.  Only the measured elapsed time varies, so the stable
-serialization normalizes it to zero.
+findings, and returns a :class:`SweepReport`.  One driver, :func:`_sweep`,
+runs them all: it times the sweep, splits the index space into chunks (one
+per worker), and calls the sweep's chunk function on each.  A chunk returns
+``(failures, part)``; the driver concatenates the failures and hands the
+parts to the sweep's merge step, both in ascending chunk order.  Reports are
+therefore reproducible: for a fixed dimension, tolerance, and seed the content
+is identical across runs and across worker counts.  Only the measured elapsed
+time varies, so the stable serialization normalizes it to zero.
 
 The multiplication sweep is the heart: it checks composition multiply,
 structural multiply, and a textbook dense integer product against each other
@@ -15,6 +19,7 @@ routes.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +38,7 @@ from .core import (
     to_dense,
 )
 from .errors import RootFindingError
-from .spectral import DEFAULT_TOL, eigen_check, periodicity, power, power_cycle
+from .spectral import DEFAULT_TOL, eigen_check, periodicity
 from .stochastic import check_decomposition, decompose, random_left_stochastic
 
 RANDOM_MAX_DENOMINATOR = 1000
@@ -49,11 +54,17 @@ def plm_from_index(d: int, index: int) -> Plm:
     return Plm(tuple(cm))
 
 
+def _plms(d: int, start: int = 0, stop: int | None = None):
+    """PLMs start..stop-1 of dimension d, lexicographic by column map."""
+    walk = itertools.product(range(1, d + 1), repeat=d)
+    return (Plm(cm) for cm in itertools.islice(walk, start, stop))
+
+
 def enumerate_plms(d: int) -> list[Plm]:
     """All d^d PLMs of dimension d, lexicographic by column map."""
     if d < 1:
         raise ValueError(f"dimension {d} must be >= 1")
-    return [plm_from_index(d, i) for i in range(d**d)]
+    return list(_plms(d))
 
 
 def oracle_multiply(a, b):
@@ -119,15 +130,16 @@ def _chunks(total: int, workers: int):
     return out
 
 
-def _run_chunked(worker, args, total: int, workers: int):
-    """Run ``worker(*args, start, stop)`` over a partition of 0..total.
+def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 1) -> SweepReport:
+    """Run ``chunk(*args, start, stop)`` over a partition of 0..total and report.
 
-    Results merge in ascending chunk order, so the outcome does not depend on
-    the worker count.
+    Each chunk returns ``(failures, part)``.  Failures concatenate, and the
+    parts go to ``findings(parts)``, in ascending chunk order, so the report
+    does not depend on the worker count.
     """
-    parts = []
+    t0 = time.perf_counter()
     if workers <= 1:
-        parts.append(worker(*args, 0, total))
+        results = [chunk(*args, 0, total)]
     else:
         # Imported here: it loads multiprocessing, about 1.4 MB of resident
         # memory that every single-worker caller, the CLI included, would pay.
@@ -135,9 +147,24 @@ def _run_chunked(worker, args, total: int, workers: int):
 
         spans = _chunks(total, workers)
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(worker, *args, start, stop) for start, stop in spans]
-            parts = [f.result() for f in futures]
-    return parts
+            futures = [pool.submit(chunk, *args, start, stop) for start, stop in spans]
+            results = [f.result() for f in futures]
+    return SweepReport(
+        sweep=name,
+        d=d,
+        cases=total,
+        failures=[f for failures, _ in results for f in failures],
+        findings=findings([part for _, part in results]),
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    )
+
+
+def _add_counts(parts) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for part in parts:
+        for key, val in part.items():
+            total[key] = total.get(key, 0) + val
+    return total
 
 
 def _oracle_colmaps(products) -> list[tuple[int, ...]]:
@@ -181,30 +208,18 @@ def _mul_chunk(d: int, start: int, stop: int):
                         "oracle": list(via_oracle),
                     }
                 )
-    return failures
+    return failures, None
 
 
 def sweep_multiplication(d: int, workers: int = 1) -> SweepReport:
     """Check multiply == structural_multiply == dense oracle over all pairs."""
-    t0 = time.perf_counter()
-    total = (d**d) ** 2
-    parts = _run_chunked(_mul_chunk, (d,), total, workers)
-    failures = [f for part in parts for f in part]
-    return SweepReport(
-        sweep="mul",
-        d=d,
-        cases=total,
-        failures=failures,
-        findings={},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _sweep("mul", d, (d**d) ** 2, _mul_chunk, (d,), lambda parts: {}, workers)
 
 
 def _period_chunk(d: int, assert_law: bool, start: int, stop: int):
     failures = []
     counts: dict[str, int] = {}
-    for k in range(start, stop):
-        a = plm_from_index(d, k)
+    for k, a in enumerate(_plms(d, start, stop), start):
         verdict = periodicity(a)
         counts[verdict.kind] = counts.get(verdict.kind, 0) + 1
         if assert_law:
@@ -228,22 +243,15 @@ def sweep_period(d: int, workers: int = 1) -> SweepReport:
     depth-2 tree hanging off it is neither), so the sweep only reports the
     verdict distribution there.
     """
-    t0 = time.perf_counter()
-    total = d**d
     assert_law = d in (2, 3)
-    parts = _run_chunked(_period_chunk, (d, assert_law), total, workers)
-    failures = [f for part, _ in parts for f in part]
-    counts: dict[str, int] = {}
-    for _, part_counts in parts:
-        for key, val in part_counts.items():
-            counts[key] = counts.get(key, 0) + val
-    return SweepReport(
-        sweep="period",
-        d=d,
-        cases=total,
-        failures=failures,
-        findings={"verdicts": counts, "asserted": assert_law},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    return _sweep(
+        "period",
+        d,
+        d**d,
+        _period_chunk,
+        (d, assert_law),
+        lambda parts: {"verdicts": _add_counts(parts), "asserted": assert_law},
+        workers,
     )
 
 
@@ -251,12 +259,7 @@ def _eigen_chunk(d: int, tol: float, start: int, stop: int):
     failures = []
     period_hist: dict[str, int] = {}
     zero_count = 0
-    for k in range(start, stop):
-        a = plm_from_index(d, k)
-        cyc = power_cycle(a)
-        if power(a, cyc.tail + cyc.period) != power(a, cyc.tail):
-            failures.append({"index": k, "colmap": list(a.colmap), "check": "power_identity"})
-            continue
+    for k, a in enumerate(_plms(d, start, stop), start):
         try:
             report = eigen_check(a, tol)
         except RootFindingError as exc:
@@ -269,35 +272,32 @@ def _eigen_chunk(d: int, tol: float, start: int, stop: int):
                 }
             )
             continue
+        if not report.roots_of_unity_ok:
+            failures.append({"index": k, "colmap": list(a.colmap), "check": "power_identity"})
+            continue
         if report.has_zero != (not is_permutation(a)):
             failures.append({"index": k, "colmap": list(a.colmap), "check": "zero_eigenvalue"})
             continue
         key = str(report.period)
         period_hist[key] = period_hist.get(key, 0) + 1
         zero_count += int(report.has_zero)
-    return failures, period_hist, zero_count
+    return failures, (period_hist, zero_count)
 
 
 def sweep_eigen(d: int, tol: float = DEFAULT_TOL, workers: int = 1) -> SweepReport:
     """Exact power identity, numeric root locations, and the zero-eigenvalue
     criterion, for every PLM of dimension d."""
-    t0 = time.perf_counter()
-    total = d**d
-    parts = _run_chunked(_eigen_chunk, (d, tol), total, workers)
-    failures = [f for part in parts for f in part[0]]
-    period_hist: dict[str, int] = {}
-    zero_count = 0
-    for _, hist, zeros in parts:
-        zero_count += zeros
-        for key, val in hist.items():
-            period_hist[key] = period_hist.get(key, 0) + val
-    return SweepReport(
-        sweep="eigen",
-        d=d,
-        cases=total,
-        failures=failures,
-        findings={"period_histogram": period_hist, "zero_eigenvalue_count": zero_count},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    return _sweep(
+        "eigen",
+        d,
+        d**d,
+        _eigen_chunk,
+        (d, tol),
+        lambda parts: {
+            "period_histogram": _add_counts(hist for hist, _ in parts),
+            "zero_eigenvalue_count": sum(zeros for _, zeros in parts),
+        },
+        workers,
     )
 
 
@@ -315,8 +315,7 @@ def _cplm_with_row_plc(a: Plm) -> bool:
 def _prerow_chunk(d: int, start: int, stop: int):
     row_plms = []
     records = []
-    for k in range(start, stop):
-        a = plm_from_index(d, k)
+    for a in _plms(d, start, stop):
         if len(set(a.colmap)) == 1:
             row_plms.append(list(a.colmap))
             continue
@@ -333,7 +332,20 @@ def _prerow_chunk(d: int, start: int, stop: int):
                 "canonical_form": _cplm_with_row_plc(canonical),
             }
         )
-    return row_plms, records
+    return [], (row_plms, records)
+
+
+def _prerow_findings(parts) -> dict:
+    records = [r for _, part in parts for r in part]
+    return {
+        "row_plms": [r for part, _ in parts for r in part],
+        "prerow": records,
+        "summary": {
+            "prerow_count": len(records),
+            "literal_all": all(r["literal_form"] for r in records),
+            "canonical_all": all(r["canonical_form"] for r in records),
+        },
+    }
 
 
 def sweep_prerow(d: int, workers: int = 1) -> SweepReport:
@@ -344,42 +356,17 @@ def sweep_prerow(d: int, workers: int = 1) -> SweepReport:
     and whether it becomes one after row canonicalization.  Nothing is
     asserted either way; the question is open.
     """
-    t0 = time.perf_counter()
-    total = d**d
-    parts = _run_chunked(_prerow_chunk, (d,), total, workers)
-    row_plms = [r for part, _ in parts for r in part]
-    records = [r for _, part in parts for r in part]
-    findings = {
-        "row_plms": row_plms,
-        "prerow": records,
-        "summary": {
-            "prerow_count": len(records),
-            "literal_all": all(r["literal_form"] for r in records),
-            "canonical_all": all(r["canonical_form"] for r in records),
-        },
-    }
-    return SweepReport(
-        sweep="prerow",
-        d=d,
-        cases=total,
-        failures=[],
-        findings=findings,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _sweep("prerow", d, d**d, _prerow_chunk, (d,), _prerow_findings, workers)
 
 
 def _case_seed(seed: int, case: int) -> int:
     return seed * 1_000_003 + case
 
 
-def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
-    """Random left stochastic matrices: decompose, then re-verify everything
-    from the output alone with :func:`check_decomposition` (round trip, weight
-    sum, term bound, and the step-by-step remainder walk)."""
-    t0 = time.perf_counter()
+def _decompose_chunk(d: int, seed: int, start: int, stop: int):
     failures = []
     max_terms = 0
-    for case in range(n_cases):
+    for case in range(start, stop):
         case_seed = _case_seed(seed, case)
         m = random_left_stochastic(d, case_seed, RANDOM_MAX_DENOMINATOR)
         try:
@@ -391,11 +378,18 @@ def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
         problems = check_decomposition(m, dec)
         if problems:
             failures.append({"case": case, "seed": case_seed, "problems": problems})
-    return SweepReport(
-        sweep="decompose",
-        d=d,
-        cases=n_cases,
-        failures=failures,
-        findings={"max_terms": max_terms, "term_bound": d * d, "seed": seed},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    return failures, max_terms
+
+
+def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
+    """Random left stochastic matrices: decompose, then re-verify everything
+    from the output alone with :func:`check_decomposition` (round trip, weight
+    sum, term bound, and the step-by-step remainder walk)."""
+    return _sweep(
+        "decompose",
+        d,
+        n_cases,
+        _decompose_chunk,
+        (d, seed),
+        lambda parts: {"max_terms": max(parts), "term_bound": d * d, "seed": seed},
     )

@@ -1,6 +1,8 @@
 """End-to-end CLI runs, in process, with frozen output and exit codes."""
 
+import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,21 @@ class TestEnumerate:
         code, _, _ = run("enumerate", "0")
         assert code == 2
 
+    def test_streams_to_out(self, run, tmp_path):
+        # 46,656 lines, about 0.9 MB: written as produced, never held whole
+        target = tmp_path / "plms.txt"
+        tracemalloc.start()
+        try:
+            code, out, _ = run("enumerate", "6", "--out", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == ""
+        assert peak < 1_000_000
+        lines = target.read_text().splitlines()
+        assert len(lines) == 6**6
+        assert (lines[0], lines[-1]) == ("plm 6: 1 1 1 1 1 1", "plm 6: 6 6 6 6 6 6")
+
 
 class TestVerify:
     def test_period_sweep_golden_report(self, run):
@@ -213,6 +230,25 @@ class TestVerify:
             }
         )
         assert "period:" in err and "ms" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("mul 3", "7adede5d99b5b5714303d49c7ab4f9b4ff0e26b55b4a47fc14909417b33191eb"),
+            ("period 4", "824fe379bf3aee93705bac8fa730f92e1a24898bc59033d04d33a75cbc1f7ab2"),
+            ("eigen 3", "a0d1e5f0813e4812d7cd74fd743980872e8a5256c7728100b3d7837246f640b9"),
+            ("prerow 4", "564c1674ea4fd55c06984f44a4b5cce5dae800ee5e74ebef71fde03ba4ada62d"),
+            (
+                "decompose 5 --cases 20 --seed 5",
+                "9e12a814bf07c90cf5b212091360b54d58f27b8e9c63852f351adfe041798115",
+            ),
+            ("all 2", "ec96bc1a89e4ecd7dbb938267b14975fb964ab1bd6a81c6fa84c4c33b319dd62"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, run, argv, digest):
+        code, out, _ = run("verify", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_report_bytes_stable_across_runs(self, run):
         _, first, _ = run("verify", "eigen", "3")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plmonoid import (
@@ -42,6 +43,17 @@ class TestStochasticMatrix:
         m = StochasticMatrix((("1/2", "1/2"), (F(1, 2), F(1, 2))))
         assert m.entries[0][0] == F(1, 2)
         assert isinstance(m.entries[0][0], Fraction)
+
+    def test_accepts_exact_entry_types(self):
+        m = StochasticMatrix(((1, F(1, 2), "1/2", "0.1"),) + ((0, 0, 0, 0),) * 3)
+        assert m.entries[0] == (F(1), F(1, 2), F(1, 2), F(1, 10))
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+
+    @pytest.mark.parametrize("bad", [0.1, True, np.float64(0.5)])
+    def test_rejects_inexact_entry_types(self, bad):
+        message = r"^entry .* at row 2, column 1 is not an int, Fraction or str$"
+        with pytest.raises(ValueError, match=message):
+            StochasticMatrix(((F(1), F(1)), (bad, F(0))))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(NotLeftStochasticError) as err:

@@ -1,5 +1,6 @@
 """The sweep engine: enumeration, the dense oracle, and report stability."""
 
+import dataclasses
 import itertools
 import json
 
@@ -158,11 +159,11 @@ class TestMultiplicationSweep:
             return real(a, b)
 
         monkeypatch.setattr(verify, "structural_multiply", wrong_on_some_pairs)
-        whole = _mul_chunk(3, 0, 729)
+        whole, _ = _mul_chunk(3, 0, 729)
         assert len(whole) > 1
         # 27 pairs per left operand: every cut below falls inside a row
         cuts = [0, 1, 40, 100, 364, 700, 728, 729]
-        parts = [f for start, stop in zip(cuts, cuts[1:]) for f in _mul_chunk(3, start, stop)]
+        parts = [f for start, stop in zip(cuts, cuts[1:]) for f in _mul_chunk(3, start, stop)[0]]
         assert parts == whole
 
 
@@ -203,6 +204,20 @@ class TestEigenSweep:
     def test_histogram_counts_every_case(self):
         r = sweep_eigen(3)
         assert sum(r.findings["period_histogram"].values()) == r.cases
+
+    def test_failed_power_identity_is_one_failure_record(self, monkeypatch):
+        real = verify.eigen_check
+
+        def identity_fails_on_one(a, tol):
+            report = real(a, tol)
+            if a.colmap == (2, 1):
+                return dataclasses.replace(report, roots_of_unity_ok=False)
+            return report
+
+        monkeypatch.setattr(verify, "eigen_check", identity_fails_on_one)
+        r = sweep_eigen(2)
+        assert r.failures == [{"index": 2, "colmap": [2, 1], "check": "power_identity"}]
+        assert not r.passed
 
 
 class TestPrerowSweep:
@@ -264,6 +279,12 @@ class TestDecomposeSweep:
             m = verify.random_left_stochastic(3, f["seed"], verify.RANDOM_MAX_DENOMINATOR)
             assert f["problems"] == check_decomposition(m, wrong)
             assert f["problems"][0] == "recompose mismatch"
+
+    def test_zero_cases(self):
+        r = sweep_decompose(4, n_cases=0, seed=3)
+        assert r.passed and r.failures == []
+        assert r.cases == 0
+        assert r.findings["max_terms"] == 0
 
     def test_deterministic_for_a_seed(self):
         a = sweep_decompose(3, n_cases=10, seed=1)
