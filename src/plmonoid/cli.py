@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success (and passing sweeps), 1 sweep or check failure, 2 parse
+Exit codes: 0 success (and passing sweeps), 1 sweep or check failure, or a
+reader that closed stdout early (a broken pipe, reported silently), 2 parse
 or flag error, 3 dimension mismatch, 4 stochastic validation failure.  All
 JSON output has sorted keys; verify reports are byte-stable across runs, with
 measured time going to stderr instead of the report.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -233,7 +235,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone (``plm enumerate 9 --force | head``).  Point
+        # stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

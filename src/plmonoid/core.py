@@ -305,12 +305,10 @@ def _classify(cm: tuple[int, ...]) -> tuple[str, object]:
     # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
     # the column of the lone first-row 1, or ("iplm", None).
     d = len(cm)
-    z = cm.count(1)
-    if z == d:
-        return "rowplm", 1
     m = cm[0]
     if cm.count(m) == d:
         return "rowplm", m
+    z = cm.count(1)
     if z == 0:
         return "cplm", False
     if z == 1:
@@ -422,11 +420,13 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
        multiply in canonical position, and undo sigma afterwards.
 
     In canonical position the right factor decides the case: a CPLM multiplies
-    blockwise with a recursive PLC product, a PCPLM is conjugated into
+    blockwise with the product of the two PLCs, a PCPLM is conjugated into
     canonical position by its column witness, and an IPLM is handled by
     regrouping its first-row ones into a leading run, building the product
     block from the tail-column correction plus the PLC columns, and undoing
-    the regrouping.
+    the regrouping.  The PLC products run as a loop, not a recursion, so a
+    permutation of any dimension (which takes the CPLM or PCPLM case at every
+    step) multiplies without hitting the recursion limit.
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
@@ -438,37 +438,47 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
 
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # The structural product of two column maps of equal length.
-    d = len(am)
-    kind, detail = _classify(am)
-    if kind == "rowplm":
-        return am
-    kind, detail = _classify(bm)
-    if kind == "rowplm":
-        return (am[detail - 1],) * d
-    r = _free_row(am)
-    if r != 1:
-        am = _swap_rows(am, r)
-    # am is now a CPLM; bm is anything but a row PLM.
-    if kind in ("cplm", "pcplm"):
-        if kind == "pcplm":
-            bm = _swap_columns(bm, detail)
-        plc = _smul(_plc(am), _plc(bm))
-        if bm[0] == 1:
-            first = am[0]
-        else:
-            # bm's column 1 has its 1 in row x = bm[0] > 1, so the product's
-            # column 1 is column x of am; that row is below row 1 since am is
-            # canonical.
-            first = am[bm[0] - 1]
-        prod = (first,) + tuple([x + 1 for x in plc])
-        if kind == "pcplm":
-            prod = _swap_columns(prod, detail)
-    elif kind == "iplm":
-        prod = _smul_iplm(am, bm)
-    else:
-        raise AssertionError(f"unexpected class {kind} for the right factor")
-    return prod if r == 1 else _swap_rows(prod, r)
+    # The structural product of two column maps of equal length.  A CPLM or
+    # PCPLM right factor peels row 1 and column 1 off both factors and goes on
+    # with their PLCs; each peeled step is recorded as (r, c, first) and undone
+    # in reverse once a row PLM or IPLM case has given the innermost product.
+    steps = []
+    while True:
+        d = len(am)
+        kind, detail = _classify(am)
+        if kind == "rowplm":
+            prod = am
+            break
+        kind, detail = _classify(bm)
+        if kind == "rowplm":
+            prod = (am[detail - 1],) * d
+            break
+        r = _free_row(am)
+        if r != 1:
+            am = _swap_rows(am, r)
+        # am is now a CPLM; bm is anything but a row PLM.
+        if kind == "iplm":
+            prod = _smul_iplm(am, bm)
+            if r != 1:
+                prod = _swap_rows(prod, r)
+            break
+        if kind not in ("cplm", "pcplm"):
+            raise AssertionError(f"unexpected class {kind} for the right factor")
+        c = detail if kind == "pcplm" else 1
+        if c != 1:
+            bm = _swap_columns(bm, c)
+        # bm's column 1 has its 1 in row bm[0], so the product's column 1 is
+        # column bm[0] of am; when bm[0] > 1 that row is below row 1, since am
+        # is canonical.
+        steps.append((r, c, am[bm[0] - 1]))
+        am, bm = _plc(am), _plc(bm)
+    for r, c, first in reversed(steps):
+        prod = (first,) + tuple([x + 1 for x in prod])
+        if c != 1:
+            prod = _swap_columns(prod, c)
+        if r != 1:
+            prod = _swap_rows(prod, r)
+    return prod
 
 
 def _smul_iplm(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,10 +2,12 @@
 
 Every PLM lives in a finite multiplicative monoid, so its powers eventually
 cycle: there are minimal s >= 1 and t >= 1 with ``A^(s+t) == A^s``.  That one
-identity drives everything here.  It gives the periodicity verdict, and it
+identity drives everything here.  It gives the periodicity verdict (a row-PLM
+power stays constant, so A is pre-row exactly when ``A^s`` is one), and it
 forces the minimal polynomial to divide ``x^s (x^t - 1)``, so every eigenvalue
 is zero or a t-th root of unity.  The characteristic polynomial is computed
-exactly over the integers and its roots are cross-checked numerically.
+exactly over the integers by the Faddeev-LeVerrier trace recursion, O(d^3) on
+the column map, and its roots are cross-checked numerically.
 
 Repeated eigenvalues (any PLM with two disjoint cycles in its column-map graph
 has eigenvalue 1 at least twice; the identity has it d times) defeat a naive
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Plm, identity, multiply, to_dense
+from .core import Plm, _classify, identity, multiply, to_dense
 from .errors import RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -136,53 +138,47 @@ def power_cycle(a: Plm) -> PowerCycle:
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
-    """Classify the power behavior of A.
+    """Classify the power behavior of A from one power walk.
 
-    The scan for a row-PLM power only needs exponents up to tail + period: the
-    powers repeat beyond that point, so no new matrices appear.
+    A row PLM absorbs from the left: if ``A^e == R_m`` then ``A^(e+1) == R_m``,
+    so the powers are constant from e on.  That forces s <= e and t = 1, and
+    then ``A^s == A^e``.  So A is pre-row exactly when ``A^s`` is a row PLM;
+    then e = s and m is its row, and with s = 1 that test gives ``is_prerow``.
     """
     cyc = power_cycle(a)
     s, t = cyc.tail, cyc.period
-    row_exp = None
-    row_m = None
-    p = a
-    for e in range(1, s + t + 1):
-        cm = p.colmap
-        if all(r == cm[0] for r in cm):
-            row_exp, row_m = e, cm[0]
-            break
-        p = multiply(p, a)
+    kind, m = _classify(power(a, s).colmap)
     if s == 1:
-        return PeriodicityVerdict.periodic(k=t, is_prerow=row_exp is not None)
-    if row_exp is not None:
-        return PeriodicityVerdict.prerow(e=row_exp, m=row_m)
+        return PeriodicityVerdict.periodic(k=t, is_prerow=kind == "rowplm")
+    if kind == "rowplm":
+        return PeriodicityVerdict.prerow(e=s, m=m)
     return PeriodicityVerdict.eventually_periodic(s=s, t=t)
 
 
 def char_poly(a: Plm) -> CharPoly:
-    """Characteristic polynomial via the trace recursion, exactly.
+    """Characteristic polynomial via the Faddeev-LeVerrier trace recursion, exactly.
 
     M_1 = A, c_k = -trace(M_k)/k, M_{k+1} = A(M_k + c_k I); every division is
-    exact for an integer matrix, which the remainder check enforces.
+    exact for an integer matrix, which the remainder check enforces.  A acts on
+    rows: row i of ``A M`` is the sum of the rows p of M whose column p of A has
+    its 1 in row i, so the recursion costs O(d^3).  It starts from I, so its
+    first product is M_1.
     """
-    d = a.dim
-    rows = [list(r) for r in to_dense(a).entries]
+    cm = a.colmap
+    d = len(cm)
     coeffs = [1]
-    m = [row[:] for row in rows]
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        tr = sum(m[i][i] for i in range(d))
-        c, rem = divmod(-tr, k)
+        rows = [[0] * d for _ in range(d)]
+        for row, r in zip(m, cm):
+            rows[r - 1] = [x + y for x, y in zip(rows[r - 1], row)]
+        m = rows
+        c, rem = divmod(-sum(m[i][i] for i in range(d)), k)
         if rem:
             raise AssertionError(f"trace recursion produced a non-integer at step {k}")
         coeffs.append(c)
-        if k == d:
-            break
         for i in range(d):
             m[i][i] += c
-        m = [
-            [sum(rows[i][p] * m[p][j] for p in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
     return CharPoly(degree=d, coefficients=tuple(coeffs))
 
 

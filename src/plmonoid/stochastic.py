@@ -130,27 +130,24 @@ def is_left_stochastic(m: StochasticMatrix) -> bool:
     return all(s == 1 for s in m.column_sums())
 
 
-def first_positive_rows(m: StochasticMatrix, atol=None) -> tuple[int, ...]:
+def first_positive_rows(m: StochasticMatrix) -> tuple[int, ...]:
     """For each column, the smallest row index with a positive entry.
 
-    ``atol`` opts into the approximate mode: entries at or below it count as
-    zero.  The default is exact.  Raises :class:`ZeroColumnError` when a
-    column has no positive entry.
+    Raises :class:`ZeroColumnError` when a column has no positive entry.
     """
-    threshold = Fraction(0) if atol is None else atol
     d = m.dim
     out = []
     for j in range(d):
-        row = next((i for i in range(d) if m.entries[i][j] > threshold), None)
+        row = next((i for i in range(d) if m.entries[i][j] > 0), None)
         if row is None:
             raise ZeroColumnError(j + 1)
         out.append(row + 1)
     return tuple(out)
 
 
-def first_positive_plm(m: StochasticMatrix, atol=None) -> Plm:
+def first_positive_plm(m: StochasticMatrix) -> Plm:
     """The PLM supported on each column's first positive entry."""
-    return Plm(first_positive_rows(m, atol=atol))
+    return Plm(first_positive_rows(m))
 
 
 def _scaled(xs, scale: int) -> list[int]:

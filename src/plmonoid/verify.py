@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     DenseBinaryMatrix,
     Plm,
+    _classify,
     canonicalize,
     classify,
     cplm_parts,
@@ -223,8 +224,7 @@ def _period_chunk(d: int, assert_law: bool, start: int, stop: int):
         verdict = periodicity(a)
         counts[verdict.kind] = counts.get(verdict.kind, 0) + 1
         if assert_law:
-            square = multiply(a, a)
-            square_is_row = all(r == square.colmap[0] for r in square.colmap)
+            square_is_row = _classify(multiply(a, a).colmap)[0] == "rowplm"
             if verdict.kind != "periodic" and not square_is_row:
                 failures.append(
                     {
@@ -316,7 +316,7 @@ def _prerow_chunk(d: int, start: int, stop: int):
     row_plms = []
     records = []
     for a in _plms(d, start, stop):
-        if len(set(a.colmap)) == 1:
+        if _classify(a.colmap)[0] == "rowplm":
             row_plms.append(list(a.colmap))
             continue
         verdict = periodicity(a)

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from plmonoid import Decomposition, Plm, cli
+import plmonoid
+from plmonoid import Decomposition, Plm, RootFindingError, cli
 from plmonoid.cli import main
 from plmonoid.formats import dumps_report
 
@@ -129,6 +134,15 @@ class TestClassifyPeriodEigen:
         assert code == 2
         assert "--tol" in err
 
+    def test_root_finding_error_exit_1(self, run, files, monkeypatch):
+        def fail(a, tol):
+            raise RootFindingError("some root sits 1e-3 away from the allowed spectrum")
+
+        monkeypatch.setattr(cli, "eigen_check", fail)
+        code, out, err = run("eigen", files["i.txt"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 class TestDecompose:
     def test_golden_output(self, run, files):
@@ -212,6 +226,22 @@ class TestEnumerate:
         lines = target.read_text().splitlines()
         assert len(lines) == 6**6
         assert (lines[0], lines[-1]) == ("plm 6: 1 1 1 1 1 1", "plm 6: 6 6 6 6 6 6")
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # 7**7 lines are far more than a pipe holds, so the writer is still
+        # busy when the reader goes away.
+        env = {**os.environ, "PYTHONPATH": str(Path(plmonoid.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plmonoid", "enumerate", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"plm 7: 1 1 1 1 1 1 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestVerify:

@@ -441,6 +441,16 @@ class TestStructuralMultiply:
     def test_dimension_one(self):
         assert structural_multiply(Plm((1,)), Plm((1,))) == Plm((1,))
 
+    def test_identity_at_large_dimension(self):
+        # every step takes the CPLM case, so a recursion would go 2000 deep
+        assert structural_multiply(identity(2000), identity(2000)) == identity(2000)
+
+    def test_permutations_at_large_dimension(self):
+        rng = random.Random(37)
+        for _ in range(3):
+            a, b = (Plm(tuple(rng.sample(range(1, 1501), 1500))) for _ in range(2))
+            assert structural_multiply(a, b) == multiply(a, b)
+
 
 def test_boundary_dimension_mismatch():
     # the column maps inside these are trusted, so the dimension check at the

@@ -1,7 +1,8 @@
 """Property tests on random PLMs: the three multiplication routes, associativity,
-and the documented contracts of classify and canonicalize; and on hostile left
-stochastic matrices: the integer greedy decomposition against a Fraction
-reference, and the verifier on its output.
+the documented contracts of classify and canonicalize, the periodicity verdict
+against a scan of the powers, and the characteristic polynomial against
+sympy; and on hostile left stochastic matrices: the integer greedy
+decomposition against a Fraction reference, and the verifier on its output.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
 operands up to d = 12, and the seeded decomposition sweep (denominators up to
@@ -19,11 +20,13 @@ from plmonoid import (
     Plm,
     StochasticMatrix,
     canonicalize,
+    char_poly,
     check_decomposition,
     classify,
     decompose,
     from_dense,
     multiply,
+    periodicity,
     permute_columns,
     permute_rows,
     structural_multiply,
@@ -96,6 +99,45 @@ def test_classify_contract(a):
     else:
         assert cls.kind == "iplm"
         assert 1 < cm.count(1) < d
+
+
+# --- spectra -----------------------------------------------------------------
+
+SPECTRAL_SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+
+def brute_force_periodicity(a):
+    """The verdict from the definitions: walk A, A^2, ... to the first repeat
+    for tail and period, and scan those powers for the first row PLM."""
+    powers = []
+    p = a
+    while p not in powers:
+        powers.append(p)
+        p = multiply(p, a)
+    s = powers.index(p) + 1
+    t = len(powers) + 1 - s
+    rows = [k for k, q in enumerate(powers, start=1) if len(set(q.colmap)) == 1]
+    if s == 1:
+        return {"periodicity": "periodic", "k": t, "is_prerow": bool(rows)}
+    if rows:
+        e = rows[0]
+        return {"periodicity": "prerow", "e": e, "m": powers[e - 1].colmap[0], "is_prerow": True}
+    return {"periodicity": "eventually_periodic", "s": s, "t": t, "is_prerow": False}
+
+
+@SPECTRAL_SETTINGS
+@given(plms())
+def test_periodicity_matches_brute_force(a):
+    assert periodicity(a).to_json_dict() == brute_force_periodicity(a)
+
+
+@SPECTRAL_SETTINGS
+@given(plms())
+def test_char_poly_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expected = sympy.Matrix(to_dense(a).entries).charpoly(x).all_coeffs()
+    assert list(char_poly(a).coefficients) == [int(c) for c in expected]
 
 
 # --- decomposition -----------------------------------------------------------

@@ -141,7 +141,7 @@ class TestPeriodicity:
         }
 
     def test_verdicts_consistent_with_brute_force(self):
-        for d in (2, 3):
+        for d in (2, 3, 4, 5):
             for a in enumerate_plms(d):
                 v = periodicity(a)
                 cyc = power_cycle(a)

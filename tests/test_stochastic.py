@@ -98,13 +98,6 @@ class TestFirstPositive:
             first_positive_rows(m)
         assert err.value.column == 1
 
-    def test_atol_skips_dust(self):
-        dust = F(1, 10**15)
-        m = StochasticMatrix(((dust, F(1)), (F(1) - dust, F(0))))
-        assert first_positive_rows(m) == (1, 1)
-        assert first_positive_rows(m, atol=F(1, 10**12)) == (2, 1)
-        assert first_positive_plm(m, atol=F(1, 10**12)) == Plm((2, 1))
-
 
 class TestDecompose:
     def test_running_example_full_sequence(self):
