@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (and passing sweeps), 1 sweep or check failure, or a
 reader that closed stdout early (a broken pipe, reported silently), 2 parse
-or flag error, 3 dimension mismatch, 4 stochastic validation failure.  All
-JSON output has sorted keys; verify reports are byte-stable across runs, with
-measured time going to stderr instead of the report.
+or flag error, or an ``--out`` path that cannot be written, 3 dimension
+mismatch, 4 stochastic validation failure.  All JSON output has sorted keys;
+verify reports are byte-stable across runs, with measured time going to
+stderr instead of the report.
 """
 
 from __future__ import annotations
@@ -59,9 +60,17 @@ def _load_stochastic(path: str):
     return parse_stochastic_text(_read(path), path)
 
 
+def _write(path: str, chunks) -> None:
+    try:
+        with open(path, "w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise PlmError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write(out, [text])
     else:
         sys.stdout.write(text)
 
@@ -182,8 +191,7 @@ def cmd_enumerate(args) -> int:
         for cm in itertools.product(range(1, args.d + 1), repeat=args.d)
     )
     if args.out:
-        with open(args.out, "w") as f:
-            f.writelines(lines)
+        _write(args.out, lines)
     else:
         sys.stdout.writelines(lines)
     return 0

@@ -5,7 +5,9 @@ cycle: there are minimal s >= 1 and t >= 1 with ``A^(s+t) == A^s``.  That one
 identity drives everything here.  It gives the periodicity verdict (a row-PLM
 power stays constant, so A is pre-row exactly when ``A^s`` is one), and it
 forces the minimal polynomial to divide ``x^s (x^t - 1)``, so every eigenvalue
-is zero or a t-th root of unity.  The characteristic polynomial is computed
+is zero or a t-th root of unity.  The power walk finds s and t by Brent's cycle
+detection on column maps, in O(d) memory; its time is O((s + t) d), and t can
+grow like Landau's function of d.  The characteristic polynomial is computed
 exactly over the integers by the Faddeev-LeVerrier trace recursion, O(d^3) on
 the column map, and its roots are cross-checked numerically.
 
@@ -14,14 +16,17 @@ has eigenvalue 1 at least twice; the identity has it d times) defeat a naive
 companion-matrix root finder: a multiplicity-m root is only found to within
 roughly machine-epsilon^(1/m), which for (x-1)^5 is about 1e-3.  To honor a
 1e-9 tolerance the characteristic polynomial is first split into square-free
-factors by Yun's algorithm using exact rational arithmetic; each factor has
-simple roots and those are found to near machine precision.
+factors by Yun's algorithm; each factor has simple roots and those are found
+to near machine precision.  The polynomial is monic in Z[x], so by Gauss's
+lemma Yun's algorithm runs in exact integer arithmetic: its gcds are primitive
+pseudo-remainder sequences and its divisions are by monic divisors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,16 +130,36 @@ def power(a: Plm, k: int) -> Plm:
 
 
 def power_cycle(a: Plm) -> PowerCycle:
-    """Walk A, A^2, ... until a repeat; first collision gives tail and period."""
-    seen: dict[Plm, int] = {}
-    p = a
-    k = 1
-    while p not in seen:
-        seen[p] = k
-        p = multiply(p, a)
-        k += 1
-    s = seen[p]
-    return PowerCycle(tail=s, period=k - s)
+    """Minimal tail and period of A, A^2, ... by Brent's cycle detection.
+
+    Brent (1980, BIT 20) finds the period with two powers in hand, then the
+    tail with two more walking a period apart, so memory is O(d).  Time stays
+    O((tail + period) d), and the period can grow like Landau's function of d.
+    The walk runs on column maps: p * A has column map ``p[r - 1]`` over the
+    entries r of A's.
+    """
+    cm = a.colmap
+    if len(cm) == 1:
+        # itemgetter of one index returns the entry, not a 1-tuple
+        return PowerCycle(tail=1, period=1)
+    step = itemgetter(*[r - 1 for r in cm])
+    power2 = period = 1
+    tortoise, hare = cm, step(cm)
+    while tortoise != hare:
+        if power2 == period:
+            tortoise = hare
+            power2 *= 2
+            period = 0
+        hare = step(hare)
+        period += 1
+    tortoise = hare = cm
+    for _ in range(period):
+        hare = step(hare)
+    tail = 1
+    while tortoise != hare:
+        tortoise, hare = step(tortoise), step(hare)
+        tail += 1
+    return PowerCycle(tail=tail, period=period)
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
@@ -189,84 +214,103 @@ def one_norm(a: Plm) -> int:
     return max(sum(dense[i][j] for i in range(d)) for j in range(d))
 
 
-# --- polynomial helpers over Fraction, coefficients leading-first ---
+# --- polynomial helpers over Z, coefficients leading-first ---
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
+def _trim(p: list[int]) -> list[int]:
     i = 0
     while i < len(p) and p[i] == 0:
         i += 1
     return p[i:]
 
 
-def _deriv(p: list[Fraction]) -> list[Fraction]:
+def _deriv(p: list[int]) -> list[int]:
     n = len(p) - 1
     return _trim([p[i] * (n - i) for i in range(n)])
 
 
-def _monic(p: list[Fraction]) -> list[Fraction]:
-    lead = p[0]
-    return [c / lead for c in p]
+def _sub(p: list[int], q: list[int]) -> list[int]:
+    n = max(len(p), len(q))
+    p = [0] * (n - len(p)) + p
+    q = [0] * (n - len(q)) + q
+    return _trim([x - y for x, y in zip(p, q)])
 
 
-def _polydivmod(p: list[Fraction], q: list[Fraction]):
-    rem = list(p)
-    quo: list[Fraction] = []
-    while len(rem) >= len(q) and rem:
-        factor = rem[0] / q[0]
-        quo.append(factor)
-        for i in range(len(q)):
-            rem[i] = rem[i] - factor * q[i]
-        rem = rem[1:]
-    return _trim(quo) if quo else [], _trim(rem)
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    if not p:
+        return p
+    g = math.gcd(*p)
+    if p[0] < 0:
+        g = -g
+    return [c // g for c in p]
 
 
-def _div_exact(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    quo, rem = _polydivmod(p, q)
-    if rem:
-        raise AssertionError("polynomial division expected to be exact")
-    return quo
+def _prem(p: list[int], q: list[int]) -> list[int]:
+    """A pseudo-remainder of p by q: ``lc(q)^k p mod q`` for some k >= 0."""
+    lead, n = q[0], len(q)
+    r = p
+    while len(r) >= n:
+        f = r[0]
+        r = _trim(
+            [lead * x - f * y for x, y in zip(r[1:n], q[1:])] + [lead * x for x in r[n:]]
+        )
+    return r
 
 
-def _polygcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    p, q = _trim(list(p)), _trim(list(q))
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """Monic gcd of a monic p and any q in Z[x].
+
+    Euclid's algorithm as a primitive pseudo-remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1).  The primitive gcd divides p in Z[x] by Gauss's lemma, so
+    its leading coefficient divides 1.
+    """
+    p, q = _primitive(p), _primitive(q)
     while q:
-        _, r = _polydivmod(p, q)
-        p, q = q, r
-    return _monic(p) if p else []
+        p, q = q, _primitive(_prem(p, q))
+    if p[0] != 1:
+        raise AssertionError(f"gcd of a monic polynomial has leading coefficient {p[0]}")
+    return p
 
 
-def _squarefree_factors(coeffs: tuple[int, ...]) -> list[tuple[list[Fraction], int]]:
-    """Yun's square-free decomposition of a monic polynomial.
+def _div_monic(p: list[int], q: list[int]) -> list[int]:
+    """p / q for a monic q; the division must be exact."""
+    r = list(p)
+    k = max(len(p) - len(q) + 1, 0)
+    for i in range(k):
+        f = r[i]
+        if f:
+            for j in range(1, len(q)):
+                r[i + j] -= f * q[j]
+    if any(r[k:]):
+        raise AssertionError("polynomial division expected to be exact")
+    return r[:k]
 
-    Returns (factor, multiplicity) pairs with each factor monic and
+
+def _squarefree_factors(coeffs: tuple[int, ...]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a monic polynomial in Z[x].
+
+    Returns (factor, multiplicity) pairs with each factor monic, integral and
     square-free; the product of factor^multiplicity is the input.
     """
-    f = [Fraction(c) for c in coeffs]
+    f = list(coeffs)
     if len(f) <= 1:
         return []
     fp = _deriv(f)
-    a0 = _polygcd(f, fp)
-    b = _div_exact(f, a0)
-    c = _div_exact(fp, a0)
-    d = _trim([x - y for x, y in _pad(c, _deriv(b))])
-    out: list[tuple[list[Fraction], int]] = []
+    a0 = _gcd(f, fp)
+    b = _div_monic(f, a0)
+    c = _div_monic(fp, a0)
+    d = _sub(c, _deriv(b))
+    out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
-        ai = _polygcd(b, d) if d else _monic(b)
+        ai = _gcd(b, d)
         if len(ai) > 1:
             out.append((ai, i))
-        b = _div_exact(b, ai)
-        c = _div_exact(d, ai) if d else []
-        d = _trim([x - y for x, y in _pad(c, _deriv(b))])
+        b = _div_monic(b, ai)
+        c = _div_monic(d, ai)
+        d = _sub(c, _deriv(b))
         i += 1
     return out
-
-
-def _pad(p: list[Fraction], q: list[Fraction]):
-    n = max(len(p), len(q))
-    p = [Fraction(0)] * (n - len(p)) + p
-    q = [Fraction(0)] * (n - len(q)) + q
-    return zip(p, q)
 
 
 def _roots_with_multiplicity(cp: CharPoly) -> list[complex]:

@@ -1,0 +1,72 @@
+"""The summary step of tools/bench_pairs.py, on made-up runs (no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_run(cases_per_s, p50_ms, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "metrics": {
+            "cases_per_s": {"value": cases_per_s, "unit": "1/s"},
+            "case_p50_ms": {"value": p50_ms, "unit": "ms"},
+        },
+        "environment": {"known_defect_failures": 4, "latency_samples": int(cases_per_s)},
+    }
+
+
+BETTER = {"cases_per_s": "higher", "case_p50_ms": "lower"}
+
+
+def test_wins_medians_and_quartiles(bench_pairs):
+    runs = {
+        "parent": [fake_run(100, 1.0), fake_run(110, 0.9), fake_run(90, 1.1), fake_run(100, 1.0)],
+        "change": [fake_run(200, 0.5), fake_run(100, 0.9), fake_run(210, 0.4), fake_run(190, 1.2)],
+    }
+    record = bench_pairs.summarize_pairs([11, 12, 13, 14], runs, BETTER)
+    rate = record["metrics"]["cases_per_s"]
+    assert rate["parent"] == [100, 110, 90, 100]
+    assert rate["change"] == [200, 100, 210, 190]
+    assert (rate["parent_median"], rate["change_median"]) == (100, 195)
+    assert (rate["parent_q1"], rate["parent_q3"]) == (92.5, 107.5)
+    assert rate["change_wins"] == 3
+    assert rate["change_over_parent"] == 1.95
+    latency = record["metrics"]["case_p50_ms"]
+    # lower is better; the tie at 0.9 counts for neither side
+    assert latency["change_wins"] == 2
+    assert latency["change_over_parent"] == pytest.approx(0.7)
+    assert record["order"] == {
+        "11": "parent first", "12": "change first", "13": "parent first", "14": "change first",
+    }
+    assert record["seeds"] == [11, 12, 13, 14]
+    assert record["correct"] is True
+    assert record["failed"] == {"parent": [0] * 4, "change": [0] * 4}
+    assert record["known_defect_failures"]["change"] == [4] * 4
+    assert record["latency_samples"]["parent"] == [100, 110, 90, 100]
+
+
+def test_one_incorrect_run_makes_the_record_incorrect(bench_pairs):
+    runs = {"parent": [fake_run(100, 1.0)], "change": [fake_run(120, 0.8, correct=False)]}
+    record = bench_pairs.summarize_pairs([1], runs, BETTER)
+    assert record["correct"] is False
+    # a single run is its own median and quartiles
+    rate = record["metrics"]["cases_per_s"]
+    assert (rate["change_q1"], rate["change_median"], rate["change_q3"]) == (120, 120, 120)
+
+
+def test_seed_parity_sets_which_side_runs_first(bench_pairs):
+    assert bench_pairs.run_order(11) == ("parent", "change")
+    assert bench_pairs.run_order(12) == ("change", "parent")

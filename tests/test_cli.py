@@ -267,6 +267,7 @@ class TestVerify:
             ("mul 3", "7adede5d99b5b5714303d49c7ab4f9b4ff0e26b55b4a47fc14909417b33191eb"),
             ("period 4", "824fe379bf3aee93705bac8fa730f92e1a24898bc59033d04d33a75cbc1f7ab2"),
             ("eigen 3", "a0d1e5f0813e4812d7cd74fd743980872e8a5256c7728100b3d7837246f640b9"),
+            ("eigen 4", "47843462e67d20a05064b223b04d67d58dcf7b694474e67ee5195d0b963f4859"),
             ("prerow 4", "564c1674ea4fd55c06984f44a4b5cce5dae800ee5e74ebef71fde03ba4ada62d"),
             (
                 "decompose 5 --cases 20 --seed 5",
@@ -324,6 +325,18 @@ class TestOutFlag:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [("classify", "a.txt"), ("enumerate", "2"), ("verify", "mul", "2")]
+    )
+    def test_unwritable_out_exit_2(self, run, files, tmp_path, argv):
+        target = tmp_path / "missing_dir" / "x"
+        argv = [files.get(arg, arg) for arg in argv]
+        code, out, err = run(*argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: cannot write {target}: No such file or directory\n")
+        assert "Traceback" not in err
 
 
 def test_unknown_command_exit_2(run):

@@ -1,7 +1,9 @@
 """Property tests on random PLMs: the three multiplication routes, associativity,
 the documented contracts of classify and canonicalize, the periodicity verdict
-against a scan of the powers, and the characteristic polynomial against
-sympy; and on hostile left stochastic matrices: the integer greedy
+against a scan of the powers, the power cycle against a dict of every power,
+and the characteristic polynomial against sympy; on random products of
+cyclotomic and linear polynomials: the integer square-free factorization
+against sympy; and on hostile left stochastic matrices: the integer greedy
 decomposition against a Fraction reference, and the verifier on its output.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
@@ -29,9 +31,11 @@ from plmonoid import (
     periodicity,
     permute_columns,
     permute_rows,
+    power_cycle,
     structural_multiply,
     to_dense,
 )
+from plmonoid.spectral import _squarefree_factors
 from plmonoid.verify import oracle_multiply
 
 MAX_D = 12
@@ -138,6 +142,50 @@ def test_char_poly_matches_sympy(a):
     x = sympy.Symbol("x")
     expected = sympy.Matrix(to_dense(a).entries).charpoly(x).all_coeffs()
     assert list(char_poly(a).coefficients) == [int(c) for c in expected]
+
+
+def dict_walk(a):
+    """Tail and period from a dict of every power A^k to its exponent k:
+    O(period * d) memory, kept as the reference for the O(d) walk."""
+    seen = {}
+    p, k = a, 1
+    while p not in seen:
+        seen[p] = k
+        p = multiply(p, a)
+        k += 1
+    return seen[p], k - seen[p]
+
+
+@SPECTRAL_SETTINGS
+@given(plms())
+def test_power_cycle_matches_dict_walk(a):
+    cyc = power_cycle(a)
+    assert (cyc.tail, cyc.period) == dict_walk(a)
+
+
+def cyclotomic_and_linear_products():
+    """Products of cyclotomic polynomials Phi_n (n <= 30) and linear factors
+    x - k, each raised to a multiplicity; equal factors may repeat, and
+    Phi_1 = x - 1 and Phi_2 = x + 1 meet the linear ones."""
+    base = st.one_of(
+        st.integers(1, 30).map(lambda n: ("cyclotomic", n)),
+        st.integers(-4, 4).map(lambda k: ("linear", k)),
+    )
+    return st.lists(st.tuples(base, st.integers(1, 4)), min_size=1, max_size=5)
+
+
+@SPECTRAL_SETTINGS
+@given(cyclotomic_and_linear_products())
+def test_squarefree_factors_match_sympy(parts):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Poly(1, x)
+    for (kind, n), mult in parts:
+        factor = sympy.cyclotomic_poly(n, x) if kind == "cyclotomic" else x - n
+        f *= sympy.Poly(factor, x) ** mult
+    _, expected = sympy.sqf_list(f)
+    factors = _squarefree_factors(tuple(int(c) for c in f.all_coeffs()))
+    assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
 
 
 # --- decomposition -----------------------------------------------------------

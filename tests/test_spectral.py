@@ -1,6 +1,7 @@
 """Power cycles, periodicity verdicts, and exact-vs-numeric eigenvalue checks."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,7 @@ from plmonoid import (
     row_plm,
     to_dense,
 )
-from plmonoid.spectral import _roots_with_multiplicity
+from plmonoid.spectral import _div_monic, _gcd, _roots_with_multiplicity, _squarefree_factors
 from plmonoid.verify import enumerate_plms
 
 sympy = pytest.importorskip("sympy")
@@ -35,6 +36,15 @@ def naive_power(a, k):
     for _ in range(k):
         p = multiply(p, a)
     return p
+
+
+def cycle_permutation(lengths):
+    """A permutation made of disjoint cycles of the given lengths."""
+    cm, start = [], 1
+    for n in lengths:
+        cm += [start + (i + 1) % n for i in range(n)]
+        start += n
+    return Plm(tuple(cm))
 
 
 def int_matmul(x, y):
@@ -110,6 +120,19 @@ class TestPowerCycle:
             powers = [naive_power(a, k) for k in range(1, s + t + 1)]
             assert len(set(powers[: s + t - 1])) == s + t - 1
             assert powers[s + t - 1] == powers[s - 1]
+
+    def test_large_period_walks_in_small_memory(self):
+        # d = 40, period lcm(5, 7, 8, 9, 11) = 27,720: a dict of every power
+        # peaked at 13.7 MB here.
+        a = cycle_permutation((5, 7, 8, 9, 11))
+        tracemalloc.start()
+        try:
+            cyc = power_cycle(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cyc.tail, cyc.period) == (1, 27_720)
+        assert peak < 1_000_000
 
 
 class TestPeriodicity:
@@ -226,6 +249,27 @@ class TestCharPoly:
             for a in enumerate_plms(d):
                 singular = sorted(a.colmap) != list(range(1, d + 1))
                 assert (char_poly(a).coefficients[-1] == 0) == singular
+
+
+class TestSquarefreeFactors:
+    def test_matches_sympy_on_every_char_poly_d_le_6(self):
+        x = sympy.Symbol("x")
+        polys = {char_poly(a).coefficients for d in range(1, 7) for a in enumerate_plms(d)}
+        for coeffs in polys:
+            _, expected = sympy.sqf_list(sympy.Poly(coeffs, x))
+            factors = _squarefree_factors(coeffs)
+            assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
+            assert all(type(c) is int for f, _ in factors for c in f)
+
+    def test_inexact_division_is_caught(self):
+        # x^2 + 1 = (x - 1)(x + 1) + 2
+        with pytest.raises(AssertionError):
+            _div_monic([1, 0, 1], [1, -1])
+
+    def test_non_monic_gcd_is_caught(self):
+        # 2x + 1 is primitive but cannot divide a monic polynomial in Z[x]
+        with pytest.raises(AssertionError):
+            _gcd([2, 1], [])
 
 
 def test_one_norm_is_always_one():
