@@ -1,12 +1,13 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20
-                                 --out BENCH_NAME.json [--seconds 20]
+                                 --out BENCH_NAME.json
 
 PARENT and CHANGE are the roots of two checkouts.  For each seed S it runs
 ``python3 perfbench/run.py --workload NAME --seed S --seconds N --trace 0``
-once in each, the parent first on odd seeds and the change first on even
-ones, so slow drift of the machine falls on both sides alike.  For each
+once in each, with N the ``run_seconds`` of BENCHMARK.json.  The parent runs
+first on odd seeds and the change on even ones, so slow drift of the machine
+falls on both sides alike.  For each
 end-to-end metric the record holds both sides' values, medians and quartiles
 (``statistics.quantiles(values, n=4)``), ``change_over_parent`` (the change's
 median over the parent's) and ``change_wins``, the number of pairs in which
@@ -42,14 +43,15 @@ def command(workload: str, seed: int, seconds: int) -> list[str]:
             "--seconds", str(seconds), "--trace", "0"]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict | None:
+def run_once(checkout: Path, cmd: list[str]) -> dict | None:
     """The run's result object, with its environment under ``environment``,
     or None if the run exited nonzero or printed no result."""
-    proc = subprocess.run(command(workload, seed, seconds), cwd=checkout,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        print(f"{checkout} seed {seed}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+        print(f"{checkout}: {' '.join(cmd)}: exit {proc.returncode}\n{proc.stderr}",
+              file=sys.stderr)
         return None
     return {**json.loads(lines[-1]), **json.loads(lines[-2])}
 
@@ -98,7 +100,6 @@ def main() -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seeds", type=seed_list, required=True)
-    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args()
 
@@ -109,8 +110,9 @@ def main() -> int:
     for seed in args.seeds:
         pair = {}
         for side in run_order(seed):
-            ran.append(f"{side}: {' '.join(command(args.workload, seed, args.seconds))}")
-            pair[side] = result = run_once(checkouts[side], args.workload, seed, args.seconds)
+            cmd = command(args.workload, seed, spec["run_seconds"])
+            ran.append(f"{side}: {' '.join(cmd)}")
+            pair[side] = result = run_once(checkouts[side], cmd)
             if result is None:
                 ok = False
                 continue
