@@ -225,24 +225,38 @@ def from_dense(m) -> Plm:
     d = len(rows)
     if d == 0 or any(len(r) != d for r in rows):
         raise ValueError("matrix is empty or not square")
-    colmap = []
-    for j in range(d):
-        hit = 0
-        where = 0
-        for i in range(d):
-            x = rows[i][j]
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x != 0] for row in rows]
+    return _plm_trusted(_colmap_of_nonzeros(d, nonzeros))
+
+
+def _colmap_of_nonzeros(d: int, rows) -> tuple[int, ...]:
+    """The column map of a d x d matrix given, row by row from the top, the
+    ``(column, entry)`` pairs of its nonzero entries (columns 0-based).
+
+    Raises :class:`NotPlmError` for the first bad column in column-major
+    order: its topmost entry that is not 0 or 1, else its count of ones.
+    Entries equal to 0 are skipped, so callers may pass them.
+    """
+    colmap = [0] * d
+    ones = [0] * d
+    bad: dict[int, tuple[int, object]] = {}
+    for i, pairs in enumerate(rows, start=1):
+        for j, x in pairs:
             if x == 1:
-                hit += 1
-                where = i + 1
-            elif x != 0:
+                colmap[j] = i
+                ones[j] += 1
+            elif x != 0 and j not in bad:
+                bad[j] = (i, x)
+    if bad or ones.count(1) != d:
+        for j in range(d):
+            if j in bad:
+                i, x = bad[j]
                 raise NotPlmError(
-                    f"entry {x!r} at row {i + 1}, column {j + 1} is not 0 or 1",
-                    column=j + 1,
+                    f"entry {x!r} at row {i}, column {j + 1} is not 0 or 1", column=j + 1
                 )
-        if hit != 1:
-            raise NotPlmError(f"column {j + 1} has {hit} ones", column=j + 1, count=hit)
-        colmap.append(where)
-    return Plm(tuple(colmap))
+            if ones[j] != 1:
+                raise NotPlmError(f"column {j + 1} has {ones[j]} ones", column=j + 1, count=ones[j])
+    return tuple(colmap)
 
 
 def to_dense(a: Plm) -> DenseBinaryMatrix:

@@ -5,14 +5,22 @@ whitespace-separated entries.  PLM readers also accept the one-line column-map
 form ``plm d: i1 i2 ... id``.  Stochastic entries may be written ``p/q``, as
 integers, or as decimals; decimals parse exactly (0.1 means 1/10).  Writers
 emit the dense form.
+
+The dense PLM reader and writer work on the column map, never on a d x d grid
+of ints.  The reader splits each line once and hands only the tokens other
+than ``"0"`` to ``int``; any token ``int`` accepts reads as that integer
+(``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are ones, ``1_0`` is
+ten), and the column check is the one ``from_dense`` uses.  The writer sets
+one ``"1"`` per column in rows of ``"0"``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 
-from .core import Plm, from_dense, to_dense
+from .core import Plm, _colmap_of_nonzeros, _plm_trusted
 from .errors import MatrixParseError, NotPlmError
 from .stochastic import Decomposition, StochasticMatrix
 
@@ -60,25 +68,37 @@ def parse_plm_text(text: str, path: str = "<input>") -> Plm:
             raise MatrixParseError(path, n, str(exc)) from None
 
     d, rows = _parse_dim(path, lines)
-    grid = []
+    nonzeros = []
     for n, line in rows:
-        try:
-            entries = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
-        if len(entries) != d:
-            raise MatrixParseError(path, n, f"expected {d} entries, found {len(entries)}")
-        grid.append(entries)
+        toks = line.split()
+        ones = toks.count("1")
+        if ones + toks.count("0") == len(toks):
+            # Only "0" and "1": find the ones by C-level scans.
+            pairs, j = [], -1
+            for _ in range(ones):
+                j = toks.index("1", j + 1)
+                pairs.append((j, 1))
+        else:
+            nonzero = compress(range(len(toks)), map("0".__ne__, toks))
+            try:
+                pairs = [(j, int(toks[j])) for j in nonzero]
+            except ValueError:
+                raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
+        if len(toks) != d:
+            raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
+        nonzeros.append(pairs)
     try:
-        return from_dense(grid)
+        return _plm_trusted(_colmap_of_nonzeros(d, nonzeros))
     except NotPlmError as exc:
         raise MatrixParseError(path, None, str(exc)) from None
 
 
 def plm_to_text(a: Plm) -> str:
-    dense = to_dense(a).entries
-    lines = [str(a.dim)] + [" ".join(str(x) for x in row) for row in dense]
-    return "\n".join(lines) + "\n"
+    d = a.dim
+    rows = [["0"] * d for _ in range(d)]
+    for j, r in enumerate(a.colmap):
+        rows[r - 1][j] = "1"
+    return "\n".join([str(d)] + [" ".join(row) for row in rows]) + "\n"
 
 
 def plm_to_colmap_line(a: Plm) -> str:

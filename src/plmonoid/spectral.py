@@ -316,7 +316,11 @@ def _squarefree_factors(coeffs: tuple[int, ...]) -> list[tuple[list[int], int]]:
 def _roots_with_multiplicity(cp: CharPoly) -> list[complex]:
     roots: list[complex] = []
     for factor, mult in _squarefree_factors(cp.coefficients):
-        found = np.roots([float(c) for c in factor])
+        if len(factor) == 2:
+            # x + c has the root -c exactly, the float np.roots returns for it.
+            found = [float(-factor[1])]
+        else:
+            found = np.roots([float(c) for c in factor])
         for z in found:
             roots.extend([complex(z)] * mult)
     if len(roots) != cp.degree:

@@ -1,4 +1,4 @@
-"""The summary step of tools/bench_pairs.py, on made-up runs (no subprocess)."""
+"""The summary steps of tools/bench_pairs.py, on made-up runs (no subprocess)."""
 
 import importlib.util
 from pathlib import Path
@@ -65,6 +65,42 @@ def test_one_incorrect_run_makes_the_record_incorrect(bench_pairs):
     # a single run is its own median and quartiles
     rate = record["metrics"]["cases_per_s"]
     assert (rate["change_q1"], rate["change_median"], rate["change_q3"]) == (120, 120, 120)
+
+
+def fake_traced(calls, self_s, idle_s=0.0):
+    run = fake_run(0, 0)
+    run["metrics"] = {
+        "core.from_dense.calls": {"value": calls, "unit": "count"},
+        "formats.parse_plm_text.self_s": {"value": self_s, "unit": "s"},
+        "verify.sweep_eigen.self_s": {"value": idle_s, "unit": "s"},
+    }
+    return run
+
+
+def test_traced_record_holds_each_layer_metric(bench_pairs):
+    runs = {
+        "parent": [fake_traced(72, 0.8), fake_traced(72, 1.0), fake_traced(72, 0.9)],
+        "change": [fake_traced(0, 0.2), fake_traced(0, 0.1), fake_traced(0, 0.3, idle_s=0.5)],
+    }
+    record = bench_pairs.summarize_traced([1, 2, 3], runs)
+    assert list(record["metrics"]) == [
+        "core.from_dense.calls", "formats.parse_plm_text.self_s", "verify.sweep_eigen.self_s",
+    ]
+    calls = record["metrics"]["core.from_dense.calls"]
+    assert calls == {"parent": [72, 72, 72], "change": [0, 0, 0], "change_over_parent": 0.0}
+    parse = record["metrics"]["formats.parse_plm_text.self_s"]
+    assert parse["parent"] == [0.8, 1.0, 0.9]
+    assert parse["change_over_parent"] == pytest.approx(0.2 / 0.9)
+    # a layer the parent never entered has no ratio
+    assert record["metrics"]["verify.sweep_eigen.self_s"]["change_over_parent"] is None
+    assert record["order"] == {"1": "parent first", "2": "change first", "3": "parent first"}
+    assert record["correct"] is True
+    assert record["failed"] == {"parent": [0] * 3, "change": [0] * 3}
+
+
+def test_traced_flag_sets_the_trace_option(bench_pairs):
+    assert bench_pairs.command("cli", 1, 20)[-2:] == ["--trace", "0"]
+    assert bench_pairs.command("cli", 1, 20, trace=True)[-2:] == ["--trace", "1"]
 
 
 def test_seed_parity_sets_which_side_runs_first(bench_pairs):

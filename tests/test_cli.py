@@ -1,20 +1,26 @@
 """End-to-end CLI runs, in process, with frozen output and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import plmonoid
 from plmonoid import Decomposition, Plm, RootFindingError, cli
 from plmonoid.cli import main
-from plmonoid.formats import dumps_report
+from plmonoid.formats import dumps_report, plm_to_colmap_line, plm_to_text
 
 A_DENSE = "3\n0 0 0\n1 0 0\n0 1 1\n"
 IDENTITY_COLMAP = "plm 3: 1 2 3\n"
@@ -347,3 +353,81 @@ def test_unknown_command_exit_2(run):
 def test_missing_arguments_exit_2(run):
     code, _, _ = run("mul")
     assert code == 2
+
+
+class TestExitCodes:
+    """Each error class gives its documented exit code, no stdout and an
+    ``error:`` line as the last line of stderr, on drawn inputs.  The commands
+    run in process with their output captured by hand, since pytest's capture
+    fixtures are per test, not per example."""
+
+    SETTINGS = settings(max_examples=25, deadline=None, database=None)
+
+    @staticmethod
+    def plm_cli(files: dict, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text)
+            # An argument naming a file, or a path inside one, points into tmp.
+            argv = [str(Path(tmp, arg)) if arg.split("/")[0] in files else arg for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def assert_error(self, result, code, fragment):
+        assert result[0] == code
+        assert result[1] == ""
+        last = result[2].splitlines()[-1]
+        assert last.startswith("error: ")
+        assert fragment in last
+
+    @SETTINGS
+    @given(st.integers(1, 8), st.data())
+    def test_parse_error_exit_2(self, d, data):
+        rows = [["0"] * d for _ in range(d)]
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        rows[i][j] = data.draw(st.sampled_from(["x", "1.0", "1/2", "--1"]))
+        text = f"{d}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        result = self.plm_cli({"a.txt": text}, "classify", "a.txt")
+        self.assert_error(result, 2, f"a.txt:{i + 2}: non-integer entry")
+
+    @SETTINGS
+    @given(st.integers(1, 8), st.integers(1, 8), st.randoms())
+    def test_dimension_mismatch_exit_3(self, d, e, rng):
+        assume(d != e)
+        files = {
+            "a.txt": plm_to_text(Plm(tuple(rng.randint(1, d) for _ in range(d)))),
+            "b.txt": plm_to_colmap_line(Plm(tuple(rng.randint(1, e) for _ in range(e)))),
+        }
+        self.assert_error(self.plm_cli(files, "mul", "a.txt", "b.txt"), 3, "dimension mismatch")
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.data())
+    def test_not_left_stochastic_exit_4(self, d, data):
+        entry = st.fractions(min_value=0, max_value=1, max_denominator=6)
+        row = st.lists(entry, min_size=d, max_size=d)
+        grid = data.draw(st.lists(row, min_size=d, max_size=d))
+        assume(any(sum(col) != 1 for col in zip(*grid)))
+        text = f"{d}\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
+        result = self.plm_cli({"m.txt": text}, "decompose", "m.txt")
+        self.assert_error(result, 4, "not left stochastic: column ")
+
+    @SETTINGS
+    @given(st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=20))
+    def test_root_finding_error_exit_1(self, message):
+        def fail(a, tol):
+            raise RootFindingError(message)
+
+        with mock.patch.object(cli, "eigen_check", fail):
+            result = self.plm_cli({"i.txt": IDENTITY_COLMAP}, "eigen", "i.txt")
+        self.assert_error(result, 1, message)
+
+    @SETTINGS
+    @given(st.sampled_from([("classify", "a.txt"), ("period", "a.txt"), ("enumerate", "2"),
+                            ("mul", "a.txt", "a.txt", "--json"), ("verify", "period", "2")]))
+    def test_unwritable_out_exit_2(self, argv):
+        result = self.plm_cli({"a.txt": A_DENSE, "plain": "a file, not a directory"},
+                              *argv, "--out", "plain/x")
+        self.assert_error(result, 2, "plain/x: Not a directory")
+        assert "error: cannot write /" in result[2]

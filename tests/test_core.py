@@ -143,6 +143,31 @@ class TestPlmConstruction:
         with pytest.raises(ValueError):
             from_dense([[1, 0]])
 
+    @pytest.mark.parametrize(
+        "grid,message,column,count",
+        [
+            # a bad entry in column 1 at row 3 beats one in column 2 at row 1
+            ([[0, 7, 1], [1, 0, 0], [5, 1, 0]], "entry 5 at row 3, column 1 is not 0 or 1", 1,
+             None),
+            # a bad entry beats its own column's count error
+            ([[1, 0, 0], [1, 1, 0], [3, 0, 1]], "entry 3 at row 3, column 1 is not 0 or 1", 1,
+             None),
+            # a count error in column 1 beats a bad entry in column 2
+            ([[0, 9, 1], [0, 1, 0], [0, 0, 0]], "column 1 has 0 ones", 1, 0),
+            ([[1, 0], [0, 0]], "column 2 has 0 ones", 2, 0),
+            ([[1, 0.5], [0, 1]], "entry 0.5 at row 1, column 2 is not 0 or 1", 2, None),
+            ([[1, 0], [0, -1]], "entry -1 at row 2, column 2 is not 0 or 1", 2, None),
+            ([[True, 1.0], [1, 0]], "column 1 has 2 ones", 1, 2),
+        ],
+    )
+    def test_from_dense_reports_the_first_bad_column(self, grid, message, column, count):
+        with pytest.raises(NotPlmError) as err:
+            from_dense(grid)
+        assert (str(err.value), err.value.column, err.value.count) == (message, column, count)
+
+    def test_from_dense_reads_equal_values_as_zero_and_one(self):
+        assert from_dense([[True, 0.0], [False, 1.0]]) == identity(2)
+
     def test_row_plm_range(self):
         assert row_plm(3, 2).colmap == (2, 2, 2)
         with pytest.raises(ValueError):

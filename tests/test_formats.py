@@ -83,6 +83,58 @@ class TestParsePlm:
         assert "column 1" in str(err.value)
 
 
+class TestDenseReaderErrorOrder:
+    """Which error the dense reader reports when a grid has several: per line,
+    a non-integer token, then the entry count; then the first bad column in
+    column-major order, where a bad entry beats its column's count."""
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            # a non-integer token beats a wrong count on the same line
+            ("2\n1 x 0\n0 1\n", 2, "non-integer entry in '1 x 0'"),
+            # an earlier line's count error beats a later non-integer line
+            ("2\n1 0 0\n0 x\n", 2, "expected 2 entries, found 3"),
+            ("2\n1 0\n0\n", 3, "expected 2 entries, found 1"),
+            # a bad entry in column 1 at row 3 beats one in column 2 at row 1
+            ("3\n0 7 1\n1 0 0\n5 1 0\n", None, "entry 5 at row 3, column 1 is not 0 or 1"),
+            # a bad entry beats its own column's count error, wherever it sits
+            ("3\n1 0 0\n1 1 0\n3 0 1\n", None, "entry 3 at row 3, column 1 is not 0 or 1"),
+            ("3\n-1 0 0\n1 1 0\n1 0 1\n", None, "entry -1 at row 1, column 1 is not 0 or 1"),
+            # a count error in column 1 beats a bad entry in column 2
+            ("3\n0 9 1\n0 1 0\n0 0 0\n", None, "column 1 has 0 ones"),
+            ("2\n1 1\n1 2\n", None, "column 1 has 2 ones"),
+            # the topmost bad entry of a column is the one reported
+            ("2\n2 1\n3 0\n", None, "entry 2 at row 1, column 1 is not 0 or 1"),
+        ],
+    )
+    def test_first_error_wins(self, text, line, message):
+        with pytest.raises(MatrixParseError) as err:
+            parse_plm_text(text, path="f.txt")
+        assert err.value.line == line
+        where = "f.txt" if line is None else f"f.txt:{line}"
+        assert str(err.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("zero", ["00", "+0", "-0", "٠"])
+    def test_tokens_that_int_reads_as_zero_are_zeros(self, zero):
+        assert parse_plm_text(f"2\n{zero} 0\n1 1\n") == row_plm(2, 2)
+
+    @pytest.mark.parametrize("one", ["01", "+1", "١"])
+    def test_tokens_that_int_reads_as_one_are_ones(self, one):
+        assert parse_plm_text(f"2\n{one} 0\n0 1\n") == identity(2)
+
+    def test_underscore_token_reads_as_ten(self):
+        with pytest.raises(MatrixParseError) as err:
+            parse_plm_text("2\n1_0 0\n0 1\n", path="f.txt")
+        assert err.value.line is None
+        assert str(err.value) == "f.txt: entry 10 at row 1, column 1 is not 0 or 1"
+
+    def test_tokens_int_refuses_are_non_integer(self):
+        with pytest.raises(MatrixParseError) as err:
+            parse_plm_text("2\n1.0 0\n0 1\n", path="f.txt")
+        assert str(err.value) == "f.txt:2: non-integer entry in '1.0 0'"
+
+
 class TestParseStochastic:
     def test_fractions_ints_and_exact_decimals(self):
         m = parse_stochastic_text("2\n0.3 1/4\n0.7 3/4\n")

@@ -3,14 +3,17 @@ the documented contracts of classify and canonicalize, the periodicity verdict
 against a scan of the powers, the power cycle against a dict of every power,
 and the characteristic polynomial against sympy; on random products of
 cyclotomic and linear polynomials: the integer square-free factorization
-against sympy; and on hostile left stochastic matrices: the integer greedy
-decomposition against a Fraction reference, and the verifier on its output.
+against sympy; on hostile left stochastic matrices: the integer greedy
+decomposition against a Fraction reference, and the verifier on its output;
+and on token grids: the dense text reader and ``from_dense`` against the
+int-grid path they replaced, plus the text and JSON round trips.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
 operands up to d = 12, and the seeded decomposition sweep (denominators up to
 1000, d <= 8) with prime denominators up to 2**61 - 1 and d up to 16.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmonoid import (
+    MatrixParseError,
     NotLeftStochasticError,
+    NotPlmError,
     Plm,
     StochasticMatrix,
     canonicalize,
@@ -34,6 +39,15 @@ from plmonoid import (
     power_cycle,
     structural_multiply,
     to_dense,
+)
+from plmonoid.formats import (
+    decomposition_from_json_dict,
+    dumps_compact,
+    parse_plm_text,
+    parse_stochastic_text,
+    plm_to_colmap_line,
+    plm_to_text,
+    stochastic_to_text,
 )
 from plmonoid.spectral import _squarefree_factors
 from plmonoid.verify import oracle_multiply
@@ -306,3 +320,149 @@ def test_column_sum_error_is_unchanged(m):
     assert (err.value.column, err.value.total) == (column, total)
     assert type(err.value.total) is Fraction
     assert str(err.value) == f"column {column} sums to {total}, not 1"
+
+
+@DECOMPOSE_SETTINGS
+@given(stochastic())
+def test_stochastic_text_round_trip(m):
+    assert parse_stochastic_text(stochastic_to_text(m)).entries == m.entries
+
+
+@DECOMPOSE_SETTINGS
+@given(stochastic())
+def test_decomposition_json_round_trip(m):
+    dec = decompose(m)
+    again = decomposition_from_json_dict(json.loads(dumps_compact(dec.to_json_dict())))
+    assert again.terms == dec.terms
+
+
+# --- matrix text ---------------------------------------------------------------
+
+TEXT_SETTINGS = settings(max_examples=500, deadline=None, database=None)
+
+
+def reference_scan(rows):
+    """The column-major scan ``from_dense`` ran before it shared the column
+    validator: the topmost entry that is neither 0 nor 1 in the first bad
+    column, else that column's count of ones."""
+    d = len(rows)
+    colmap = []
+    for j in range(d):
+        hit = where = 0
+        for i in range(d):
+            x = rows[i][j]
+            if x == 1:
+                hit += 1
+                where = i + 1
+            elif x != 0:
+                raise NotPlmError(
+                    f"entry {x!r} at row {i + 1}, column {j + 1} is not 0 or 1", column=j + 1
+                )
+        if hit != 1:
+            raise NotPlmError(f"column {j + 1} has {hit} ones", column=j + 1, count=hit)
+        colmap.append(where)
+    return Plm(tuple(colmap))
+
+
+def reference_read_dense(d, rows, path):
+    """The dense reader's old path over ``(line, text)`` rows: every token to
+    an int, then the reference scan of the int grid."""
+    grid = []
+    for n, line in rows:
+        try:
+            entries = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
+        if len(entries) != d:
+            raise MatrixParseError(path, n, f"expected {d} entries, found {len(entries)}")
+        grid.append(entries)
+    try:
+        return reference_scan(grid)
+    except NotPlmError as exc:
+        raise MatrixParseError(path, None, str(exc)) from None
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (MatrixParseError, NotPlmError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), vars(exc)
+
+
+# Tokens that ``int`` reads as 0, as 1, as something else, or refuses.
+ZERO_TOKENS = ("00", "+0", "-0", "٠")
+ONE_TOKENS = ("01", "+1", "١")
+OTHER_TOKENS = ("2", "-1", "1_0", "10", "x", "1.0", "")
+
+
+def token_grids():
+    """(d, rows): a PLM's dense grid with up to three cells replaced by
+    tokens from the pools above, and sometimes a row made ragged."""
+
+    def build(d):
+        cell = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+        token = st.sampled_from(("0", "1") + ZERO_TOKENS + ONE_TOKENS + OTHER_TOKENS)
+        ragged = st.one_of(st.none(), st.tuples(st.integers(0, d - 1), st.sampled_from((-1, 1))))
+        return st.tuples(
+            st.just(d),
+            st.lists(st.integers(1, d), min_size=d, max_size=d),
+            st.lists(st.tuples(cell, token), max_size=3),
+            ragged,
+        )
+
+    def grid(args):
+        d, colmap, edits, ragged = args
+        rows = [["1" if colmap[j] == i + 1 else "0" for j in range(d)] for i in range(d)]
+        for (i, j), tok in edits:
+            rows[i][j] = tok
+        if ragged:
+            i, step = ragged
+            rows[i] = rows[i][:-1] if step < 0 else rows[i] + ["0"]
+        return d, [" ".join(t for t in row if t) for row in rows]
+
+    return st.integers(1, 6).flatmap(build).map(grid)
+
+
+@TEXT_SETTINGS
+@given(token_grids())
+def test_dense_reader_matches_the_int_grid_path(grid):
+    d, rows = grid
+    text = f"{d}\n" + "".join(f"{row}\n" for row in rows)
+    numbered = [(n, row.strip()) for n, row in enumerate(rows, start=2) if row.strip()]
+    if len(numbered) != d:  # an emptied row is a row-count error, read before any entry
+        return
+    assert outcome(parse_plm_text, text, "f.txt") == outcome(
+        reference_read_dense, d, numbered, "f.txt"
+    )
+
+
+def value_grids():
+    values = st.sampled_from((0, 1, 0, 1, 2, -1, True, False, 1.0, 0.0, 0.5))
+    return st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(values, min_size=d, max_size=d), min_size=d, max_size=d)
+    )
+
+
+@TEXT_SETTINGS
+@given(value_grids())
+def test_from_dense_matches_the_reference_scan(grid):
+    assert outcome(from_dense, grid) == outcome(reference_scan, grid)
+
+
+def reference_plm_to_text(a):
+    """The writer as it ran through ``to_dense``."""
+    lines = [str(a.dim)] + [" ".join(str(x) for x in row) for row in to_dense(a).entries]
+    return "\n".join(lines) + "\n"
+
+
+def text_plms():
+    return st.integers(1, 40).flatmap(colmaps)
+
+
+@SETTINGS
+@given(text_plms())
+def test_plm_text_round_trips(a):
+    text = plm_to_text(a)
+    assert text == reference_plm_to_text(a)
+    assert parse_plm_text(text) == a
+    assert parse_plm_text(plm_to_colmap_line(a)) == a

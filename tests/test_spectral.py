@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from plmonoid import (
@@ -21,6 +22,7 @@ from plmonoid import (
     row_plm,
     to_dense,
 )
+from plmonoid import spectral
 from plmonoid.spectral import _div_monic, _gcd, _roots_with_multiplicity, _squarefree_factors
 from plmonoid.verify import enumerate_plms
 
@@ -358,3 +360,33 @@ def test_inconsistent_charpoly_is_caught():
     # a degree field that disagrees with the coefficients must not pass silently
     with pytest.raises(RootFindingError):
         _roots_with_multiplicity(CharPoly(degree=3, coefficients=(1, 0, -1)))
+
+
+def all_np_roots(cp):
+    """The roots as found before linear factors were read off: np.roots on
+    every square-free factor."""
+    roots = []
+    for factor, mult in _squarefree_factors(cp.coefficients):
+        for z in np.roots([float(c) for c in factor]):
+            roots.extend([complex(z)] * mult)
+    roots.sort(key=lambda z: (z.real, z.imag))
+    return roots
+
+
+def test_linear_factor_roots_are_bit_identical_to_np_roots(monkeypatch):
+    rng = random.Random(20)
+    mats = [a for d in range(1, 6) for a in enumerate_plms(d)]
+    mats += [rand_plm(rng, rng.randint(6, 30)) for _ in range(300)]
+
+    def reports():
+        out = []
+        for a in mats:
+            try:
+                out.append(repr(eigen_check(a)))
+            except RootFindingError as exc:
+                out.append(f"RootFindingError: {exc}")
+        return out
+
+    direct = reports()
+    monkeypatch.setattr(spectral, "_roots_with_multiplicity", all_np_roots)
+    assert reports() == direct

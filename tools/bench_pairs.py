@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20
-                                 --out BENCH_NAME.json
+                                 --out BENCH_NAME.json [--trace]
 
 PARENT and CHANGE are the roots of two checkouts.  For each seed S it runs
 ``python3 perfbench/run.py --workload NAME --seed S --seconds N --trace 0``
@@ -15,6 +15,11 @@ the change reads better in the direction BENCHMARK.json gives (ties count
 for neither side).  It is stored under the key ``NAME_pairs`` of the OUT
 file, next to whatever else that file holds.  Exits 1 if a run fails, is
 incorrect or has failed cases.
+
+With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
+the record holds every per-layer metric: both sides' values by seed and
+``change_over_parent``, the change's median over the parent's (null when the
+parent's median is 0).  It is stored under ``NAME_traced``.
 """
 
 import argparse
@@ -38,9 +43,9 @@ def run_order(seed: int) -> tuple[str, str]:
     return SIDES if seed % 2 else SIDES[::-1]
 
 
-def command(workload: str, seed: int, seconds: int) -> list[str]:
+def command(workload: str, seed: int, seconds: int, trace: bool = False) -> list[str]:
     return ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(int(trace))]
 
 
 def run_once(checkout: Path, cmd: list[str]) -> dict | None:
@@ -64,10 +69,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize_pairs(seeds: list[int], runs: dict, better: dict) -> dict:
-    """The pair record from ``runs[side][i]``, the result of seed ``seeds[i]``
-    on that side (with its ``environment``).  ``better`` maps each metric to
-    "higher" or "lower"."""
+def run_fields(seeds: list[int], runs: dict) -> dict:
+    """What a record holds of ``runs[side][i]``, the result of seed
+    ``seeds[i]`` on that side (with its ``environment``), besides the metrics."""
     record = {
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "seeds": seeds,
@@ -77,8 +81,19 @@ def summarize_pairs(seeds: list[int], runs: dict, better: dict) -> dict:
     record["failed"] = {side: [r["failed"] for r in runs[side]] for side in SIDES}
     for field in ("known_defect_failures", "latency_samples"):
         record[field] = {side: [r["environment"][field] for r in runs[side]] for side in SIDES}
+    return record
+
+
+def metric_values(runs: dict, name: str) -> dict:
+    return {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+
+
+def summarize_pairs(seeds: list[int], runs: dict, better: dict) -> dict:
+    """The pair record of plain runs (see ``run_fields``).  ``better`` maps
+    each metric to "higher" or "lower"."""
+    record = run_fields(seeds, runs)
     for name, direction in better.items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        values = metric_values(runs, name)
         stats = {}
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
@@ -93,6 +108,18 @@ def summarize_pairs(seeds: list[int], runs: dict, better: dict) -> dict:
     return record
 
 
+def summarize_traced(seeds: list[int], runs: dict) -> dict:
+    """The record of traced runs (see ``run_fields``): each per-layer metric
+    of the parent's runs, with both sides' values and their median ratio."""
+    record = run_fields(seeds, runs)
+    for name in sorted(runs["parent"][0]["metrics"]):
+        values = metric_values(runs, name)
+        parent = statistics.median(values["parent"])
+        ratio = statistics.median(values["change"]) / parent if parent else None
+        record["metrics"][name] = {**values, "change_over_parent": ratio}
+    return record
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -101,6 +128,8 @@ def main() -> int:
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seeds", type=seed_list, required=True)
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--trace", action="store_true",
+                   help="traced runs; store the per-layer metrics under NAME_traced")
     args = p.parse_args()
 
     checkouts = {"parent": args.parent, "change": args.change}
@@ -110,7 +139,7 @@ def main() -> int:
     for seed in args.seeds:
         pair = {}
         for side in run_order(seed):
-            cmd = command(args.workload, seed, spec["run_seconds"])
+            cmd = command(args.workload, seed, spec["run_seconds"], args.trace)
             ran.append(f"{side}: {' '.join(cmd)}")
             pair[side] = result = run_once(checkouts[side], cmd)
             if result is None:
@@ -125,20 +154,26 @@ def main() -> int:
                 runs[side].append(pair[side])
     if not seeds:
         return 1
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = summarize_pairs(seeds, runs, better)
+    if args.trace:
+        record = summarize_traced(seeds, runs)
+    else:
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        record = summarize_pairs(seeds, runs, better)
     record["commands"] = ran
     record["checkouts"] = {
         side: {k: runs[side][0]["environment"][k] for k in ("git_commit", "source_sha256")}
         for side in SIDES
     }
     stored = json.loads(args.out.read_text()) if args.out.exists() else {}
-    stored[f"{args.workload}_pairs"] = record
+    stored[f"{args.workload}_{'traced' if args.trace else 'pairs'}"] = record
     args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
     for name, s in record["metrics"].items():
-        print(f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
-              f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(seeds)}",
-              file=sys.stderr)
+        if args.trace:
+            print(f"{name:40s} parent {s['parent']}  change {s['change']}", file=sys.stderr)
+        else:
+            print(f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
+                  f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(seeds)}",
+                  file=sys.stderr)
     return 0 if ok else 1
 
 
