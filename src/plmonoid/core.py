@@ -226,11 +226,11 @@ def from_dense(m) -> Plm:
     if d == 0 or any(len(r) != d for r in rows):
         raise ValueError("matrix is empty or not square")
     nonzeros = [[(j, x) for j, x in enumerate(row) if x != 0] for row in rows]
-    return _plm_trusted(_colmap_of_nonzeros(d, nonzeros))
+    return _plm_of_nonzeros(d, nonzeros)
 
 
-def _colmap_of_nonzeros(d: int, rows) -> tuple[int, ...]:
-    """The column map of a d x d matrix given, row by row from the top, the
+def _plm_of_nonzeros(d: int, rows) -> Plm:
+    """The PLM of a d x d matrix given, row by row from the top, the
     ``(column, entry)`` pairs of its nonzero entries (columns 0-based).
 
     Raises :class:`NotPlmError` for the first bad column in column-major
@@ -256,7 +256,7 @@ def _colmap_of_nonzeros(d: int, rows) -> tuple[int, ...]:
                 )
             if ones[j] != 1:
                 raise NotPlmError(f"column {j + 1} has {ones[j]} ones", column=j + 1, count=ones[j])
-    return tuple(colmap)
+    return _plm_trusted(tuple(colmap))
 
 
 def to_dense(a: Plm) -> DenseBinaryMatrix:

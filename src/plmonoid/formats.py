@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import compress
 
-from .core import Plm, _colmap_of_nonzeros, _plm_trusted
+from .core import Plm, _plm_of_nonzeros
 from .errors import MatrixParseError, NotPlmError
 from .stochastic import Decomposition, StochasticMatrix
 
@@ -71,24 +70,15 @@ def parse_plm_text(text: str, path: str = "<input>") -> Plm:
     nonzeros = []
     for n, line in rows:
         toks = line.split()
-        ones = toks.count("1")
-        if ones + toks.count("0") == len(toks):
-            # Only "0" and "1": find the ones by C-level scans.
-            pairs, j = [], -1
-            for _ in range(ones):
-                j = toks.index("1", j + 1)
-                pairs.append((j, 1))
-        else:
-            nonzero = compress(range(len(toks)), map("0".__ne__, toks))
-            try:
-                pairs = [(j, int(toks[j])) for j in nonzero]
-            except ValueError:
-                raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
+        try:
+            pairs = [(j, int(t)) for j, t in enumerate(toks) if t != "0"]
+        except ValueError:
+            raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
         if len(toks) != d:
             raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
         nonzeros.append(pairs)
     try:
-        return _plm_trusted(_colmap_of_nonzeros(d, nonzeros))
+        return _plm_of_nonzeros(d, nonzeros)
     except NotPlmError as exc:
         raise MatrixParseError(path, None, str(exc)) from None
 
