@@ -29,6 +29,14 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError, NotCplmError, NotPlmError
 
 
+def _require_ints(**values) -> None:
+    # bool and float values compare equal to ints, so they would pass a range
+    # check and return a result, or fail later with an unrelated error.
+    for name, x in values.items():
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an int, not {x!r}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., d}, stored as the tuple of images.
@@ -58,6 +66,7 @@ class Permutation:
     @classmethod
     def transposition(cls, d: int, i: int, j: int) -> "Permutation":
         """The permutation of {1..d} swapping i and j."""
+        _require_ints(d=d, i=i, j=j)
         if not (1 <= i <= d and 1 <= j <= d):
             raise ValueError(f"points {i}, {j} out of range 1..{d}")
         images = list(range(1, d + 1))
@@ -204,11 +213,13 @@ class CplmParts:
 
 
 def identity(d: int) -> Plm:
+    _require_ints(d=d)
     return Plm(tuple(range(1, d + 1)))
 
 
 def row_plm(d: int, m: int) -> Plm:
     """The matrix R_m whose every column has its 1 in row m."""
+    _require_ints(d=d, m=m)
     if not 1 <= m <= d:
         raise ValueError(f"row {m} out of range 1..{d}")
     return Plm((m,) * d)
@@ -272,10 +283,10 @@ def multiply(a: Plm, b: Plm) -> Plm:
     Column j of ``a*b`` is column ``b.colmap[j]`` of ``a``, so the product's
     column map is the composition ``a.colmap o b.colmap``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
-    am = a.colmap
-    return _plm_trusted(tuple([am[r - 1] for r in b.colmap]))
+    am, bm = a.colmap, b.colmap
+    if len(am) != len(bm):
+        raise DimensionMismatchError(f"dims {len(am)} != {len(bm)}")
+    return _plm_trusted(tuple([am[r - 1] for r in bm]))
 
 
 def permute_rows(sigma: Permutation, a: Plm) -> Plm:
@@ -411,10 +422,14 @@ def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:
     first-column tail, remaining columns zero.
 
     This is the correction block that appears when the right factor of a
-    product starts with a run of first-row ones.
+    product starts with a run of first-row ones.  The structural route reads
+    its columns off the column map without forming it (each one is column 1
+    of the CPLM below row 1); the tests build the IPLM products densely from
+    this block as the reference for that step.
     """
     parts = cplm_parts(a)
     d = a.dim
+    _require_ints(n=n)
     if not 0 <= n <= d - 1:
         raise ValueError(f"column count {n} out of range 0..{d - 1}")
     v = parts.v
@@ -436,19 +451,25 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     In canonical position the right factor decides the case: a CPLM multiplies
     blockwise with the product of the two PLCs, a PCPLM is conjugated into
     canonical position by its column witness, and an IPLM is handled by
-    regrouping its first-row ones into a leading run, building the product
-    block from the tail-column correction plus the PLC columns, and undoing
-    the regrouping.  The PLC products run as a loop, not a recursion, so a
-    permutation of any dimension (which takes the CPLM or PCPLM case at every
-    step) multiplies without hitting the recursion limit.
+    regrouping its first-row ones into a leading run: the product's columns
+    in that run are column 1 of the left factor (its leading entry over the
+    tail-column correction), and each other column is the PLC column picked
+    by the right factor's row in the lower block.  Each column is read off
+    the column maps and written straight to its original position, so the
+    regrouped matrices and the correction block are never formed.  The PLC
+    products run as a loop, not a recursion, so a permutation of any
+    dimension (which takes the CPLM or PCPLM case at every step) multiplies
+    without hitting the recursion limit.  Each step of the loop, and the
+    IPLM step, costs O(d) time and memory.
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
     agrees with :func:`multiply`; the two routes share no formula.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
-    return _plm_trusted(_smul(a.colmap, b.colmap))
+    am, bm = a.colmap, b.colmap
+    if len(am) != len(bm):
+        raise DimensionMismatchError(f"dims {len(am)} != {len(bm)}")
+    return _plm_trusted(_smul(am, bm))
 
 
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
@@ -476,8 +497,6 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
             if r != 1:
                 prod = _swap_rows(prod, r)
             break
-        if kind not in ("cplm", "pcplm"):
-            raise AssertionError(f"unexpected class {kind} for the right factor")
         c = detail if kind == "pcplm" else 1
         if c != 1:
             bm = _swap_columns(bm, c)
@@ -496,46 +515,14 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _smul_iplm(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # am is a CPLM; bm has z first-row ones with 1 < z < d.  Regroup bm's
-    # columns so the first-row ones fill positions 1..z, multiply in that
-    # position, then move the columns back.
-    d = len(am)
-    z = bm.count(1)
-    order = [j for j in range(d) if bm[j] == 1] + [j for j in range(d) if bm[j] != 1]
-    bt = tuple([bm[j] for j in order])
-    assert bt[:z] == (1,) * z and all(r >= 2 for r in bt[z:])
-
-    v = _tail(am)
-    n = d - 1
-    # Correction block, held column by column: the first z-1 columns repeat
-    # am's first-column tail.
-    cols = [list(v) if c < z - 1 else [0] * n for c in range(n)]
-    # Add the PLC product against bt's trailing columns, left-padded with z-1
-    # zero columns.  Each trailing column is a unit vector, so the product
-    # column is just a column of the PLC.
-    plc_cm = _plc(am)
-    for c in range(z - 1, n):
-        r = bt[c + 1] - 2           # row of bt's 1 within the lower block
-        cols[c][plc_cm[r] - 1] += 1
-    # The sum must form the lower-right block of a PLM whose first row is
-    # [1]*z + [0]*(d-z) scaled by am's leading entry; validate before reading
-    # the column map off it.
-    lower = []
-    for c, col in enumerate(cols):
-        if any(x not in (0, 1) for x in col):
-            raise AssertionError(f"block entry out of 0/1 at column {c + 2}: {col}")
-        if c < z - 1:
-            if tuple(col) != v:
-                raise AssertionError(f"leading-run column {c + 2} does not repeat the tail")
-            lower.append(None)
-        else:
-            if col.count(1) != 1:
-                raise AssertionError(f"block column {c + 2} has {col.count(1)} ones")
-            lower.append(col.index(1) + 2)
-
-    ct = [am[0]] * z + lower[z - 1:]
-    # Column k of the regrouped product goes back to column order[k].
-    out = [0] * d
-    for k, j in enumerate(order):
-        out[j] = ct[k]
-    return tuple(out)
+    # am is a CPLM with blocks [[l, 0], [v, P]], P its PLC; bm has z first-row
+    # ones, 1 < z < d.  Regrouping bm's columns so that these ones lead gives
+    # blocks [[1, u], [0, B']] with u = (1,)*(z-1) + (0,)*(d-z), and the
+    # product [[l, l*u], [v, v*u + P*B']].  In the z-1 columns where u is 1,
+    # B' is zero (the column's one 1 is in row 1), so the correction block
+    # v*u alone fills them: with l above, each of the first z columns is
+    # column 1 of am.  Every other column has its 1 in a row r >= 2 of bm, so
+    # it is 0 over column r-1 of P.  Each column is written straight to its
+    # original position, and the regrouped matrices are never formed.
+    first, lower = am[0], am[1:]  # lower: P's column map, rows counted in am
+    return tuple([first if r == 1 else lower[r - 2] for r in bm])

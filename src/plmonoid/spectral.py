@@ -30,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Plm, _classify, identity, multiply, to_dense
+from .core import Plm, _classify, _require_ints, identity, multiply, to_dense
 from .errors import RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -117,6 +117,7 @@ class EigenReport:
 
 def power(a: Plm, k: int) -> Plm:
     """A^k by repeated squaring; A^0 is the identity."""
+    _require_ints(k=k)
     if k < 0:
         raise ValueError("PLMs are not invertible in general; exponent must be >= 0")
     result = identity(a.dim)

@@ -28,7 +28,10 @@ def fake_run(cases_per_s, p50_ms, correct=True, failed=0):
     }
 
 
-BETTER = {"cases_per_s": "higher", "case_p50_ms": "lower"}
+METRICS = {
+    "cases_per_s": {"name": "cases_per_s", "better": "higher", "bound": 0.2},
+    "case_p50_ms": {"name": "case_p50_ms", "better": "lower", "bound": 0.2},
+}
 
 
 def test_wins_medians_and_quartiles(bench_pairs):
@@ -36,7 +39,7 @@ def test_wins_medians_and_quartiles(bench_pairs):
         "parent": [fake_run(100, 1.0), fake_run(110, 0.9), fake_run(90, 1.1), fake_run(100, 1.0)],
         "change": [fake_run(200, 0.5), fake_run(100, 0.9), fake_run(210, 0.4), fake_run(190, 1.2)],
     }
-    record = bench_pairs.summarize_pairs([11, 12, 13, 14], runs, BETTER)
+    record = bench_pairs.summarize_pairs([11, 12, 13, 14], runs, METRICS)
     rate = record["metrics"]["cases_per_s"]
     assert rate["parent"] == [100, 110, 90, 100]
     assert rate["change"] == [200, 100, 210, 190]
@@ -58,9 +61,31 @@ def test_wins_medians_and_quartiles(bench_pairs):
     assert record["latency_samples"]["parent"] == [100, 110, 90, 100]
 
 
+def test_bound_is_stored_and_checked_in_the_metric_direction(bench_pairs):
+    runs = {
+        # rate -25%, latency +15%: only the rate is outside its 20% bound
+        "parent": [fake_run(100, 1.0), fake_run(100, 1.0)],
+        "change": [fake_run(75, 1.15), fake_run(75, 1.15)],
+    }
+    record = bench_pairs.summarize_pairs([1, 2], runs, METRICS)
+    rate, latency = record["metrics"]["cases_per_s"], record["metrics"]["case_p50_ms"]
+    assert (rate["bound"], latency["bound"]) == (0.2, 0.2)
+    assert rate["within_bound"] is False
+    assert latency["within_bound"] is True
+    # rate -15%, latency +25%: now only the latency is outside
+    runs["change"] = [fake_run(85, 1.25), fake_run(85, 1.25)]
+    record = bench_pairs.summarize_pairs([1, 2], runs, METRICS)
+    assert record["metrics"]["cases_per_s"]["within_bound"] is True
+    assert record["metrics"]["case_p50_ms"]["within_bound"] is False
+    # a gain is never outside the bound
+    runs["change"] = [fake_run(300, 0.1), fake_run(300, 0.1)]
+    record = bench_pairs.summarize_pairs([1, 2], runs, METRICS)
+    assert all(m["within_bound"] for m in record["metrics"].values())
+
+
 def test_one_incorrect_run_makes_the_record_incorrect(bench_pairs):
     runs = {"parent": [fake_run(100, 1.0)], "change": [fake_run(120, 0.8, correct=False)]}
-    record = bench_pairs.summarize_pairs([1], runs, BETTER)
+    record = bench_pairs.summarize_pairs([1], runs, METRICS)
     assert record["correct"] is False
     # a single run is its own median and quartiles
     rate = record["metrics"]["cases_per_s"]

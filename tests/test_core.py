@@ -6,7 +6,9 @@ nothing is asserted that a second route does not confirm.
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from plmonoid import (
@@ -103,6 +105,13 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation(images)
 
+    @pytest.mark.parametrize("args, name", [
+        ((3, 1.0, 2), "i"), ((3, 1, True), "j"), ((3.0, 1, 2), "d"), ((True, 1, 1), "d"),
+    ])
+    def test_transposition_rejects_non_int_arguments(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            Permutation.transposition(*args)
+
 
 class TestPlmConstruction:
     def test_colmap_must_be_in_range(self):
@@ -172,6 +181,16 @@ class TestPlmConstruction:
         assert row_plm(3, 2).colmap == (2, 2, 2)
         with pytest.raises(ValueError):
             row_plm(3, 4)
+
+    @pytest.mark.parametrize("args, name", [((True, 1), "d"), ((2.0, 1), "d"), ((3, 2.0), "m")])
+    def test_row_plm_rejects_non_int_arguments(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            row_plm(*args)
+
+    @pytest.mark.parametrize("d", [True, 2.0, "2"])
+    def test_identity_rejects_non_int_dimension(self, d):
+        with pytest.raises(ValueError, match="^d must be an int"):
+            identity(d)
 
 
 class TestMultiply:
@@ -417,6 +436,53 @@ class TestTailColumnBlock:
         with pytest.raises(NotCplmError):
             tail_column_block(Plm((1, 1, 2)), 1)
 
+    @pytest.mark.parametrize("n", [True, 1.5, 1.0])
+    def test_rejects_non_int_column_count(self, n):
+        with pytest.raises(ValueError, match="^n must be an int"):
+            tail_column_block(Plm((2, 3, 3)), n)
+
+
+def regroup_iplms(bs):
+    """Move the first-row ones of IPLMs ``bs``, which share their number z of
+    them, into columns 1..z.  Returns the column moves, as indices for
+    ``np.take_along_axis``, and the stacked dense regrouped matrices, each of
+    which has the blocks [[1, u], [0, B']] with u = (1,)*(z-1) + (0,)*(d-z)."""
+    d, z = bs[0].dim, first_row_ones(bs[0])
+    orders = np.array([
+        [j for j in range(d) if b.colmap[j] == 1] + [j for j in range(d) if b.colmap[j] != 1]
+        for b in bs
+    ])
+    moves = np.broadcast_to(orders[:, None, :], (len(bs), d, d))
+    regrouped = np.take_along_axis(np.array([dense_rows(b) for b in bs]), moves, axis=2)
+    assert (regrouped[:, 0, :z] == 1).all() and (regrouped[:, 0, z:] == 0).all()
+    assert (regrouped[:, 1:, 0] == 0).all()
+    return moves, regrouped
+
+
+def iplm_block_products(a, moves, regrouped):
+    """Dense reference for the IPLM step: the column maps of ``a * b`` for a
+    CPLM ``a`` and the IPLMs b regrouped by :func:`regroup_iplms`.
+
+    With ``a`` as [[l, 0], [v, P]] the regrouped product is
+    [[l, l*u], [v, C + P*B']], where C = tail_column_block(a, z-1) is the
+    correction block; its columns are then moved back.
+    """
+    parts = cplm_parts(a)
+    u = regrouped[0, 0, 1:]
+    z = int(u.sum()) + 1
+    prod = np.zeros_like(regrouped)
+    prod[:, 0, 0] = parts.leading
+    prod[:, 0, 1:] = parts.leading * u
+    prod[:, 1:, 0] = parts.v
+    prod[:, 1:, 1:] = (
+        np.array(tail_column_block(a, z - 1).entries)
+        + np.array(dense_rows(parts.plc)) @ regrouped[:, 1:, 1:]
+    )
+    out = np.empty_like(prod)
+    np.put_along_axis(out, moves, prod, axis=2)
+    assert ((out == 0) | (out == 1)).all() and (out.sum(axis=1) == 1).all()
+    return [tuple(cm) for cm in (out.argmax(axis=1) + 1).tolist()]
+
 
 class TestStructuralMultiply:
     def test_agrees_exhaustively_d2_d3(self):
@@ -458,6 +524,41 @@ class TestStructuralMultiply:
             for a in lefts:
                 for b in rights:
                     assert structural_multiply(a, b) == row_plm(3, m + 1)
+
+    def test_iplm_step_matches_the_block_formula_exhaustive_d3_d5(self):
+        for d in (3, 4, 5):
+            plms = enumerate_plms(d)
+            groups = {}
+            for b in plms:
+                if classify(b).kind == "iplm":
+                    groups.setdefault(first_row_ones(b), []).append(b)
+            assert sorted(groups) == list(range(2, d))
+            regrouped = [(bs, *regroup_iplms(bs)) for bs in groups.values()]
+            for a in plms:
+                if classify(a).kind != "cplm":
+                    continue
+                for bs, moves, dense in regrouped:
+                    expected = iplm_block_products(a, moves, dense)
+                    assert [structural_multiply(a, b).colmap for b in bs] == expected
+
+    def test_iplm_step_at_large_dimension_in_linear_memory(self):
+        # b has 700 first-row ones, so the product takes the IPLM step at the
+        # top level; a dense (d-1) x (d-1) correction block would take tens of
+        # megabytes
+        rng = random.Random(41)
+        d = 3000
+        a = rand_plm(rng, d)
+        ones = set(rng.sample(range(d), 700))
+        b = Plm(tuple(1 if j in ones else rng.randint(2, d) for j in range(d)))
+        assert classify(b).kind == "iplm"
+        tracemalloc.start()
+        try:
+            prod = structural_multiply(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prod == multiply(a, b)
+        assert peak < 1_000_000
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -84,6 +84,12 @@ class TestPower:
         with pytest.raises(ValueError):
             power(identity(2), -1)
 
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_rejects_non_int_exponent(self, k):
+        # power(a, True) used to return a, and power(a, 2.0) to fail in `&`
+        with pytest.raises(ValueError, match="^k must be an int"):
+            power(Plm((2, 1)), k)
+
     def test_matches_repeated_multiplication(self):
         rng = random.Random(41)
         for _ in range(80):

@@ -12,9 +12,12 @@ end-to-end metric the record holds both sides' values, medians and quartiles
 (``statistics.quantiles(values, n=4)``), ``change_over_parent`` (the change's
 median over the parent's) and ``change_wins``, the number of pairs in which
 the change reads better in the direction BENCHMARK.json gives (ties count
-for neither side).  It is stored under the key ``NAME_pairs`` of the OUT
-file, next to whatever else that file holds.  Exits 1 if a run fails, is
-incorrect or has failed cases.
+for neither side).  It also holds the metric's BENCHMARK.json ``bound`` and
+``within_bound``, false when the change's median is worse than the parent's
+by more than that bound, as a share of the parent's median; a line is
+printed for each metric outside its bound.  The record is stored under the
+key ``NAME_pairs`` of the OUT file, next to whatever else that file holds.
+Exits 1 if a run fails, is incorrect or has failed cases.
 
 With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
 the record holds every per-layer metric: both sides' values by seed and
@@ -88,22 +91,26 @@ def metric_values(runs: dict, name: str) -> dict:
     return {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
 
 
-def summarize_pairs(seeds: list[int], runs: dict, better: dict) -> dict:
-    """The pair record of plain runs (see ``run_fields``).  ``better`` maps
-    each metric to "higher" or "lower"."""
+def summarize_pairs(seeds: list[int], runs: dict, metrics: dict) -> dict:
+    """The pair record of plain runs (see ``run_fields``).  ``metrics`` maps
+    each metric's name to its BENCHMARK.json entry, with ``better`` ("higher"
+    or "lower") and ``bound``."""
     record = run_fields(seeds, runs)
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         values = metric_values(runs, name)
         stats = {}
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
             stats.update({side: values[side], f"{side}_median": med,
                           f"{side}_q1": q1, f"{side}_q3": q3})
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         stats["change_wins"] = sum(
             sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
         )
         stats["change_over_parent"] = stats["change_median"] / stats["parent_median"]
+        worse_by = sign * (1 - stats["change_over_parent"])
+        stats["bound"] = spec["bound"]
+        stats["within_bound"] = worse_by <= spec["bound"]
         record["metrics"][name] = stats
     return record
 
@@ -157,8 +164,8 @@ def main() -> int:
     if args.trace:
         record = summarize_traced(seeds, runs)
     else:
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        record = summarize_pairs(seeds, runs, better)
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
+        record = summarize_pairs(seeds, runs, metrics)
     record["commands"] = ran
     record["checkouts"] = {
         side: {k: runs[side][0]["environment"][k] for k in ("git_commit", "source_sha256")}
@@ -174,6 +181,9 @@ def main() -> int:
             print(f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
                   f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(seeds)}",
                   file=sys.stderr)
+            if not s["within_bound"]:
+                print(f"{name}: the change's median is worse than the parent's by more"
+                      f" than the bound {s['bound']:.0%}", file=sys.stderr)
     return 0 if ok else 1
 
 
