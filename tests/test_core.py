@@ -469,13 +469,12 @@ def iplm_block_products(a, moves, regrouped):
     """
     parts = cplm_parts(a)
     u = regrouped[0, 0, 1:]
-    z = int(u.sum()) + 1
     prod = np.zeros_like(regrouped)
     prod[:, 0, 0] = parts.leading
     prod[:, 0, 1:] = parts.leading * u
     prod[:, 1:, 0] = parts.v
     prod[:, 1:, 1:] = (
-        np.array(tail_column_block(a, z - 1).entries)
+        np.array(tail_column_block(a, int(u.sum())).entries)
         + np.array(dense_rows(parts.plc)) @ regrouped[:, 1:, 1:]
     )
     out = np.empty_like(prod)
