@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import Plm, classify, multiply
+from .core import _plm_trusted, classify, multiply
 from .errors import (
     DimensionMismatchError,
     MatrixParseError,
@@ -32,9 +32,10 @@ from .formats import (
     plm_to_colmap_line,
     plm_to_text,
 )
-from .spectral import DEFAULT_TOL, eigen_check, periodicity
+from .spectral import DEFAULT_TOL, check_tol, eigen_check, periodicity
 from .stochastic import check_decomposition, decompose
 from .verify import (
+    check_sweep_args,
     sweep_decompose,
     sweep_eigen,
     sweep_multiplication,
@@ -148,11 +149,18 @@ def cmd_period(args) -> int:
     return 0
 
 
-def _bad_tol(tol: float) -> bool:
-    if tol <= 0:
-        print(f"error: --tol must be positive, got {tol}", file=sys.stderr)
+def _bad_arg(check, *args) -> bool:
+    # Run one of the library's argument checks; print its message as a flag error.
+    try:
+        check(*args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return True
     return False
+
+
+def _bad_tol(tol: float) -> bool:
+    return _bad_arg(check_tol, tol, "--tol")
 
 
 def cmd_eigen(args) -> int:
@@ -187,7 +195,7 @@ def cmd_enumerate(args) -> int:
         )
         return 2
     lines = (
-        plm_to_colmap_line(Plm(cm)) + "\n"
+        plm_to_colmap_line(_plm_trusted(cm)) + "\n"
         for cm in itertools.product(range(1, args.d + 1), repeat=args.d)
     )
     if args.out:
@@ -208,7 +216,7 @@ SWEEPS = {
 
 
 def cmd_verify(args) -> int:
-    if _bad_tol(args.tol):
+    if _bad_tol(args.tol) or _bad_arg(check_sweep_args, args.d, args.cases):
         return 2
     names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
     reports = [SWEEPS[name](args) for name in names]

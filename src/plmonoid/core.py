@@ -37,6 +37,19 @@ def _require_ints(**values) -> None:
             raise ValueError(f"{name} must be an int, not {x!r}")
 
 
+def _trusted(cls, **fields):
+    # Validation happens once, at the boundary.  Public constructors and the
+    # functions that take raw caller data validate; a value the library builds
+    # from values it has already validated skips __post_init__ and is built
+    # here, so each field must already be what the constructor would store
+    # (tuples, not lists).  Plm has its own copy, _plm_trusted, without the
+    # keyword loop, because the structural route builds one per product.
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., d}, stored as the tuple of images.
@@ -61,7 +74,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
-        return cls(tuple(range(1, d + 1)))
+        _require_ints(d=d)
+        return _trusted(cls, images=tuple(range(1, d + 1)))
 
     @classmethod
     def transposition(cls, d: int, i: int, j: int) -> "Permutation":
@@ -71,7 +85,7 @@ class Permutation:
             raise ValueError(f"points {i}, {j} out of range 1..{d}")
         images = list(range(1, d + 1))
         images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
+        return _trusted(cls, images=tuple(images))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -80,13 +94,13 @@ class Permutation:
         """Compose: apply ``other`` first, then ``self``."""
         if self.dim != other.dim:
             raise DimensionMismatchError(f"permutation dims {self.dim} != {other.dim}")
-        return Permutation(tuple(self.images[k - 1] for k in other.images))
+        return _trusted(Permutation, images=tuple([self.images[k - 1] for k in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.dim
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return _trusted(Permutation, images=tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
@@ -143,8 +157,7 @@ class Plm:
 
 
 def _plm_trusted(cm: tuple[int, ...]) -> Plm:
-    # Build a Plm without validation.  Only for column maps derived from
-    # already valid operands: validation happens once, at the boundary.
+    # _trusted for Plm, written out: see there.
     a = object.__new__(Plm)
     object.__setattr__(a, "colmap", cm)
     return a
@@ -272,9 +285,8 @@ def _plm_of_nonzeros(d: int, rows) -> Plm:
 
 def to_dense(a: Plm) -> DenseBinaryMatrix:
     d = a.dim
-    return DenseBinaryMatrix(
-        tuple(tuple(1 if a.colmap[j] == i else 0 for j in range(d)) for i in range(1, d + 1))
-    )
+    rows = tuple(tuple(1 if a.colmap[j] == i else 0 for j in range(d)) for i in range(1, d + 1))
+    return _trusted(DenseBinaryMatrix, entries=rows)
 
 
 def multiply(a: Plm, b: Plm) -> Plm:

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Plm, _classify, _require_ints, identity, multiply, to_dense
+from .core import Plm, _classify, _plm_trusted, _require_ints, multiply, to_dense
 from .errors import RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -120,7 +120,7 @@ def power(a: Plm, k: int) -> Plm:
     _require_ints(k=k)
     if k < 0:
         raise ValueError("PLMs are not invertible in general; exponent must be >= 0")
-    result = identity(a.dim)
+    result = _plm_trusted(tuple(range(1, a.dim + 1)))
     base = a
     while k:
         if k & 1:
@@ -348,6 +348,19 @@ def max_unity_deviation(roots, period: int, tol: float) -> float:
     return worst
 
 
+def check_tol(tol: float, name: str = "tolerance") -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number above 0.
+
+    Every comparison with NaN is false, so a NaN tolerance would pass
+    ``tol <= 0`` and then every ``dev > tol`` test, and an infinite one
+    accepts any root: either turns the numeric cross-check off.
+    """
+    if tol <= 0:
+        raise ValueError(f"{name} must be positive, got {tol}")
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {tol}")
+
+
 def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     """Exact eigenvalue verdicts with a numeric cross-check.
 
@@ -356,8 +369,7 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     zero or of a t-th root of unity, raising :class:`RootFindingError` if the
     computed roots ever disagree with that exact guarantee.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tol(tol)
     cyc = power_cycle(a)
     exact_ok = power(a, cyc.tail + cyc.period) == power(a, cyc.tail)
     cp = char_poly(a)

@@ -7,7 +7,13 @@ first positive entry of every column, peel off the PLM those positions form,
 scaled by the smallest entry involved, and continue on the remainder.  Every
 step zeroes at least one more entry while keeping the remainder nonnegative
 with uniform column sums, so at most d^2 terms appear and the weights sum to
-1 exactly.
+1 exactly.  Those invariants hold by construction and are not re-checked;
+:func:`check_decomposition` verifies a decomposition from its terms alone.
+
+Validation happens where caller data enters: the ``StochasticMatrix`` and
+``Decomposition`` constructors.  The matrices and decompositions this module
+builds from values already validated (``decompose``, ``convex_combine``,
+``random_left_stochastic``, ``StochasticMatrix.from_plm``) skip it.
 
 Nothing here rounds.  Matrices and weights are held as ``fractions.Fraction``
 at the interface; the decomposition, recomposition and verification loops
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Plm, _plm_trusted
+from .core import Plm, _plm_trusted, _require_ints, _trusted
 from .errors import (
     DimensionMismatchError,
     NotLeftStochasticError,
@@ -80,12 +86,10 @@ class StochasticMatrix:
     def from_plm(cls, a: Plm) -> "StochasticMatrix":
         d = a.dim
         one, zero = Fraction(1), Fraction(0)
-        return cls(
-            tuple(
-                tuple(one if a.colmap[j] == i else zero for j in range(d))
-                for i in range(1, d + 1)
-            )
+        rows = tuple(
+            tuple(one if a.colmap[j] == i else zero for j in range(d)) for i in range(1, d + 1)
         )
+        return _trusted(cls, entries=rows)
 
     def column_sums(self) -> tuple[Fraction, ...]:
         d = self.dim
@@ -147,7 +151,7 @@ def first_positive_rows(m: StochasticMatrix) -> tuple[int, ...]:
 
 def first_positive_plm(m: StochasticMatrix) -> Plm:
     """The PLM supported on each column's first positive entry."""
-    return Plm(first_positive_rows(m))
+    return _plm_trusted(first_positive_rows(m))
 
 
 def _scaled(xs, scale: int) -> list[int]:
@@ -190,10 +194,12 @@ def decompose(m: StochasticMatrix) -> Decomposition:
     every column summing to ``L``.  Entries only decrease, so each column
     keeps a pointer to its first positive row that only moves down.  A step
     subtracts the int weight ``lam`` (the smallest picked entry) from the d
-    picked entries and emits ``Fraction(lam, L)``.  The invariants the
-    construction guarantees are re-checked on every step on the d entries it
-    touched, in O(d): none went negative, at least one became zero, and every
-    column's running total still equals the remaining weight.
+    picked entries and emits ``Fraction(lam, L)``.  The invariants hold by
+    construction and are not checked again: as ``lam`` is the minimum, no
+    entry goes negative and at least one reaches zero, and as every column
+    loses ``lam``, each column's total equals the remaining weight, so while
+    that is positive every column has a positive entry at or below its
+    pointer.  :func:`check_decomposition` is the one verifier of the result.
     """
     d = m.dim
     scale = lcm(*[x.denominator for row in m.entries for x in row])
@@ -206,34 +212,20 @@ def decompose(m: StochasticMatrix) -> Decomposition:
             )
 
     first = [0] * d
-    col_totals = [scale] * d
     remaining = scale
     terms: list[tuple[Fraction, Plm]] = []
     while remaining > 0:
         for j, col in enumerate(cols):
             i = first[j]
-            while i < d and col[i] == 0:
+            while col[i] == 0:
                 i += 1
-            if i == d:
-                raise AssertionError(f"column {j + 1} has no positive entry left")
             first[j] = i
         lam = min([col[i] for col, i in zip(cols, first)])
-        new_zero = False
-        for j, col in enumerate(cols):
-            i = first[j]
-            x = col[i] - lam
-            if x < 0:
-                raise AssertionError("remainder went negative")
-            new_zero = new_zero or x == 0
-            col_totals[j] += x - col[i]
-            col[i] = x
+        for col, i in zip(cols, first):
+            col[i] -= lam
         remaining -= lam
-        if not new_zero:
-            raise AssertionError("a step failed to zero a new entry")
-        if col_totals.count(remaining) != d:
-            raise AssertionError("column sums drifted apart")
         terms.append((Fraction(lam, scale), _plm_trusted(tuple([i + 1 for i in first]))))
-    return Decomposition(tuple(terms))
+    return _trusted(Decomposition, terms=tuple(terms))
 
 
 def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
@@ -312,7 +304,8 @@ def convex_combine(terms) -> StochasticMatrix:
             raise ValueError(f"weight {lam} outside [0, 1]")
     scale, weights = _scaled_weights([lam for lam, _ in terms])
     cols = _accumulate(weights, [p.colmap for _, p in terms], d)
-    return StochasticMatrix(tuple([tuple([Fraction(x, scale) for x in row]) for row in zip(*cols)]))
+    rows = tuple([tuple([Fraction(x, scale) for x in row]) for row in zip(*cols)])
+    return _trusted(StochasticMatrix, entries=rows)
 
 
 def recompose(dec: Decomposition) -> StochasticMatrix:
@@ -325,6 +318,7 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
     Each column picks a denominator q <= max_denominator and splits q into d
     nonnegative integer parts uniformly via sorted cut points.
     """
+    _require_ints(d=d, max_denominator=max_denominator)
     if d < 1:
         raise ValueError(f"dimension {d} must be >= 1")
     if max_denominator < 1:
@@ -336,4 +330,5 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
         cuts = sorted([rng.randint(0, q) for _ in range(d - 1)])
         bounds = [0] + cuts + [q]
         cols.append([Fraction(bounds[k + 1] - bounds[k], q) for k in range(d)])
-    return StochasticMatrix(tuple([tuple([cols[j][i] for j in range(d)]) for i in range(d)]))
+    rows = tuple([tuple([cols[j][i] for j in range(d)]) for i in range(d)])
+    return _trusted(StochasticMatrix, entries=rows)

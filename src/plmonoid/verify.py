@@ -29,6 +29,9 @@ from .core import (
     DenseBinaryMatrix,
     Plm,
     _classify,
+    _plm_trusted,
+    _require_ints,
+    _trusted,
     canonicalize,
     classify,
     cplm_parts,
@@ -47,6 +50,7 @@ RANDOM_MAX_DENOMINATOR = 1000
 
 def plm_from_index(d: int, index: int) -> Plm:
     """The index-th PLM of dimension d in lexicographic column-map order."""
+    _require_ints(d=d, index=index)
     if not 0 <= index < d**d:
         raise ValueError(f"index {index} out of range 0..{d**d - 1}")
     cm = []
@@ -58,13 +62,23 @@ def plm_from_index(d: int, index: int) -> Plm:
 def _plms(d: int, start: int = 0, stop: int | None = None):
     """PLMs start..stop-1 of dimension d, lexicographic by column map."""
     walk = itertools.product(range(1, d + 1), repeat=d)
-    return (Plm(cm) for cm in itertools.islice(walk, start, stop))
+    return (_plm_trusted(cm) for cm in itertools.islice(walk, start, stop))
+
+
+def check_sweep_args(d: int, n_cases: int = 0) -> None:
+    """Raise ``ValueError`` unless ``d`` is an int >= 1 and ``n_cases`` an
+    int >= 0."""
+    _require_ints(d=d)
+    if d < 1:
+        raise ValueError(f"dimension {d} must be >= 1")
+    _require_ints(n_cases=n_cases)
+    if n_cases < 0:
+        raise ValueError(f"case count {n_cases} must be >= 0")
 
 
 def enumerate_plms(d: int) -> list[Plm]:
     """All d^d PLMs of dimension d, lexicographic by column map."""
-    if d < 1:
-        raise ValueError(f"dimension {d} must be >= 1")
+    check_sweep_args(d)
     return list(_plms(d))
 
 
@@ -90,7 +104,7 @@ def oracle_multiply(a, b):
         raise ValueError(
             f"product is not binary: entry {product[i, j]} at row {i + 1}, column {j + 1}"
         )
-    return DenseBinaryMatrix(product.tolist())
+    return _trusted(DenseBinaryMatrix, entries=tuple(map(tuple, product.tolist())))
 
 
 @dataclass
@@ -136,8 +150,10 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
 
     Each chunk returns ``(failures, part)``.  Failures concatenate, and the
     parts go to ``findings(parts)``, in ascending chunk order, so the report
-    does not depend on the worker count.
+    does not depend on the worker count.  Raises ``ValueError`` through
+    :func:`check_sweep_args` for a bad ``d`` or ``total``.
     """
+    check_sweep_args(d, total)
     t0 = time.perf_counter()
     if workers <= 1:
         results = [chunk(*args, 0, total)]

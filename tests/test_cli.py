@@ -140,6 +140,11 @@ class TestClassifyPeriodEigen:
         assert code == 2
         assert "--tol" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_eigen_rejects_non_finite_tol(self, run, files, tol):
+        code, out, err = run("eigen", files["i.txt"], "--tol", tol)
+        assert (code, out, err) == (2, "", f"error: --tol must be finite, got {tol}\n")
+
     def test_root_finding_error_exit_1(self, run, files, monkeypatch):
         def fail(a, tol):
             raise RootFindingError("some root sits 1e-3 away from the allowed spectrum")
@@ -315,6 +320,24 @@ class TestVerify:
     def test_rejects_nonpositive_tol(self, run):
         code, _, _ = run("verify", "eigen", "2", "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_rejects_non_finite_tol(self, run, tol):
+        code, out, err = run("verify", "eigen", "2", "--tol", tol)
+        assert (code, out, err) == (2, "", f"error: --tol must be finite, got {tol}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *[((name, "0"), "dimension 0 must be >= 1") for name in (*cli.SWEEPS, "all")],
+            (("mul", "-1"), "dimension -1 must be >= 1"),
+            (("decompose", "2", "--cases", "-1"), "case count -1 must be >= 0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_rejects_bad_dimension_or_case_count(self, run, argv, message):
+        code, out, err = run("verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestOutFlag:

@@ -15,12 +15,14 @@ operands up to d = 12, and the seeded decomposition sweep (denominators up to
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmonoid import (
+    Decomposition,
     MatrixParseError,
     NotLeftStochasticError,
     NotPlmError,
@@ -288,6 +290,18 @@ DECOMPOSE_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 def test_decompose_matches_fraction_greedy(m):
     dec = decompose(m)
     assert [(lam, p.colmap) for lam, p in dec.terms] == fraction_greedy(m)
+    assert check_decomposition(m, dec) == []
+
+
+@DECOMPOSE_SETTINGS
+@given(stochastic())
+def test_decompose_does_not_validate_its_result_again(m):
+    # The result is built from validated values, so it skips
+    # Decomposition's own checks; check_decomposition is the verifier.
+    refuse = AssertionError("Decomposition validated again")
+    with mock.patch.object(Decomposition, "__post_init__", side_effect=refuse):
+        dec = decompose(m)
+    assert dec == Decomposition(dec.terms)
     assert check_decomposition(m, dec) == []
 
 

@@ -353,6 +353,15 @@ class TestEigenCheck:
         with pytest.raises(ValueError):
             eigen_check(identity(2), tol=-1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # Every comparison with NaN is false, and every root is within inf of
+        # the allowed spectrum, so either tolerance used to pass this
+        # permutation whatever its numeric roots.
+        a = cycle_permutation((5, 7, 8, 9, 11))
+        with pytest.raises(ValueError, match=f"^tolerance must be finite, got {tol}$"):
+            eigen_check(a, tol)
+
     def test_exhaustive_d3_has_zero_iff_not_permutation(self):
         for a in enumerate_plms(3):
             rep = eigen_check(a)

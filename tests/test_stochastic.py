@@ -24,6 +24,7 @@ from plmonoid import (
     recompose,
     row_plm,
 )
+from plmonoid.core import _trusted
 from plmonoid.verify import enumerate_plms
 
 F = Fraction
@@ -172,9 +173,7 @@ class TestDecompose:
 def unchecked(*terms):
     """A Decomposition built without its own validation, as a faulty producer
     could hand one over."""
-    dec = object.__new__(Decomposition)
-    object.__setattr__(dec, "terms", tuple((F(lam), p) for lam, p in terms))
-    return dec
+    return _trusted(Decomposition, terms=tuple((F(lam), p) for lam, p in terms))
 
 
 I2 = StochasticMatrix.from_plm(identity(2))

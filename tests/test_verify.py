@@ -10,10 +10,12 @@ import pytest
 from plmonoid import (
     Decomposition,
     DenseBinaryMatrix,
+    Permutation,
     Plm,
     SweepReport,
     check_decomposition,
     identity,
+    random_left_stochastic,
     to_dense,
 )
 from plmonoid import verify
@@ -319,3 +321,47 @@ class TestReportStability:
         obj = json.loads(stable_bytes(r))
         assert obj["elapsed_ms"] == 0
         assert obj["pass"] is True
+
+
+SWEEPS = [sweep_multiplication, sweep_period, sweep_eigen, sweep_prerow, sweep_decompose]
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_sweeps_reject_dimension_below_one(sweep, d):
+    with pytest.raises(ValueError, match=f"^dimension {d} must be >= 1$"):
+        sweep(d)
+
+
+def test_decompose_sweep_rejects_negative_case_count():
+    with pytest.raises(ValueError, match="^case count -3 must be >= 0$"):
+        sweep_decompose(2, n_cases=-3)
+
+
+# bool and float arguments compare equal to ints, so they would pass a range
+# check and return a value (``enumerate_plms(True)`` was one 1 x 1 PLM).
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: Permutation.identity(True), "d", id="Permutation.identity"),
+        pytest.param(lambda: enumerate_plms(True), "d", id="enumerate_plms"),
+        pytest.param(lambda: plm_from_index(True, 0), "d", id="plm_from_index-d"),
+        pytest.param(lambda: plm_from_index(2, 1.0), "index", id="plm_from_index-index"),
+        *[
+            pytest.param(lambda sweep=sweep: sweep(True), "d", id=sweep.__name__)
+            for sweep in SWEEPS
+        ],
+        pytest.param(lambda: sweep_period(2.0), "d", id="sweep_period-float"),
+        pytest.param(lambda: sweep_decompose(2, n_cases=True), "n_cases", id="n_cases-bool"),
+        pytest.param(lambda: sweep_decompose(2, n_cases=5.0), "n_cases", id="n_cases-float"),
+        pytest.param(lambda: random_left_stochastic(True, 0), "d", id="random_left_stochastic"),
+        pytest.param(
+            lambda: random_left_stochastic(2, 0, max_denominator=10.0),
+            "max_denominator",
+            id="max_denominator",
+        ),
+    ],
+)
+def test_rejects_non_int_arguments(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not "):
+        call()
