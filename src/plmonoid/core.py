@@ -63,6 +63,8 @@ class Permutation:
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
+        if not images:
+            raise ValueError("dimension 0 must be >= 1")
         if any(type(v) is not int for v in images):
             raise ValueError(f"permutation images must be ints: {images!r}")
         if sorted(images) != list(range(1, len(images) + 1)):
@@ -75,6 +77,8 @@ class Permutation:
     @classmethod
     def identity(cls, d: int) -> "Permutation":
         _require_ints(d=d)
+        if d < 1:
+            raise ValueError(f"dimension {d} must be >= 1")
         return _trusted(cls, images=tuple(range(1, d + 1)))
 
     @classmethod
@@ -334,47 +338,45 @@ def is_permutation(a: Plm) -> bool:
     return len(set(a.colmap)) == a.dim
 
 
-# Column-map kernels.  The structural route runs on raw column-map tuples
-# through these helpers, and the public classify / canonicalize / cplm_parts
-# delegate to them, so each case test and each block formula exists once.
+# Column-map kernels.  The structural route runs on raw column maps through
+# these helpers, and the public classify / canonicalize / cplm_parts delegate
+# to them, so each case test and each block formula exists once.  The first
+# three take the label ``one`` of the current first row, so the peel in
+# _smul applies them to a slice am[k:] of a column map with one = k + 1.
 
-def _classify(cm: tuple[int, ...]) -> tuple[str, object]:
+def _classify(cm, one: int = 1) -> tuple[str, object]:
     # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
-    # the column of the lone first-row 1, or ("iplm", None).
-    d = len(cm)
+    # the column of the lone first-row 1, or ("iplm", None).  The first row
+    # is label ``one``, and the columns are numbered from ``one`` as well, so
+    # a slice cm = am[k:] of a longer map is classified with one = k + 1 and
+    # m and c come back as labels and columns of am.
     m = cm[0]
-    if cm.count(m) == d:
+    if cm.count(m) == len(cm):
         return "rowplm", m
-    z = cm.count(1)
+    z = cm.count(one)
     if z == 0:
         return "cplm", False
     if z == 1:
-        c = cm.index(1) + 1
-        if c == 1:
+        c = cm.index(one) + one
+        if c == one:
             return "cplm", True
         return "pcplm", c
     return "iplm", None
 
 
-def _free_row(cm: tuple[int, ...]) -> int:
-    # The smallest row that is zero throughout columns 2..d.
+def _free_row(cm, one: int = 1) -> int:
+    # The smallest row from label ``one`` on that is zero throughout the
+    # columns after the first.
     hit = set(cm[1:])
-    r = 1
+    r = one
     while r in hit:
         r += 1
     return r
 
 
-def _swap_rows(cm: tuple[int, ...], r: int) -> tuple[int, ...]:
-    # Relabel rows by the transposition (1 r).
-    return tuple([r if x == 1 else 1 if x == r else x for x in cm])
-
-
-def _swap_columns(cm: tuple[int, ...], c: int) -> tuple[int, ...]:
-    # Relabel columns by the transposition (1 c).
-    out = list(cm)
-    out[0], out[c - 1] = cm[c - 1], cm[0]
-    return tuple(out)
+def _swap_rows(cm, r: int, one: int = 1) -> tuple[int, ...]:
+    # Relabel rows by the transposition (one r).
+    return tuple([r if x == one else one if x == r else x for x in cm])
 
 
 def _tail(cm: tuple[int, ...]) -> tuple[int, ...]:
@@ -468,10 +470,18 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     tail-column correction), and each other column is the PLC column picked
     by the right factor's row in the lower block.  Each column is read off
     the column maps and written straight to its original position, so the
-    regrouped matrices and the correction block are never formed.  The PLC
-    products run as a loop, not a recursion, so a permutation of any
+    regrouped matrices and the correction block are never formed.
+
+    The PLC products run as a loop, not a recursion, so a permutation of any
     dimension (which takes the CPLM or PCPLM case at every step) multiplies
-    without hitting the recursion limit.  Each step of the loop, and the
+    without hitting the recursion limit.  The loop peels in place on
+    unshifted labels: at level k the live factors are the slices of the
+    column maps from column k+1 on, whose first row is row k+1.  Each level
+    tests the left slice for a row PLM (that test only), classifies the
+    right slice, relabels rows (k+1 r) with r the left slice's free row,
+    and, for a PCPLM, swaps the lone first-row 1 into column k+1.  The PLCs
+    are then the slices from column k+2, as they stand, so no label is
+    shifted down on the way in or up on the way out.  Each level, and the
     IPLM step, costs O(d) time and memory.
 
     The case analysis runs on raw column maps: the operands are validated once,
@@ -485,56 +495,70 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
 
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # The structural product of two column maps of equal length.  A CPLM or
-    # PCPLM right factor peels row 1 and column 1 off both factors and goes on
-    # with their PLCs; each peeled step is recorded as (r, c, first) and undone
-    # in reverse once a row PLM or IPLM case has given the innermost product.
-    steps = []
+    # The structural product of two column maps of equal length d, peeled in
+    # place on unshifted labels.  At level k the live factors a and b are the
+    # slices am[k:] and bm[k:] (a with its rows relabelled so far): columns
+    # k+1..d, with their 1s in rows k+1..d, so their first row is label
+    # one = k + 1.  Each level decides, in order: a a row PLM (the product
+    # is a); b a row PLM R_m (every product column is column m of a); else
+    # the free row r of a and the relabel (one r) that makes a a CPLM; then
+    # an IPLM b gives the innermost product by the block step, and a CPLM or
+    # PCPLM b (with its lone first-row 1 swapped into column k+1) gives
+    # product column k+1.  In that last case a[1:] and b[1:] avoid row one,
+    # so they are the two PLCs as they stand and the next level is k + 1.
+    # The relabels are composed into one label map pi (built on the first
+    # one), applied to each product entry as it is written; so the way back
+    # only undoes the column swaps, latest first, and no label is shifted.
+    a, b = am, list(bm)
+    out = []  # product columns 1..k
+    pi = None
+    swaps = []
+    one = 1
     while True:
-        d = len(am)
-        kind, detail = _classify(am)
-        if kind == "rowplm":
-            prod = am
+        if a.count(a[0]) == len(a):  # a is a row PLM
+            prod = a
             break
-        kind, detail = _classify(bm)
+        kind, detail = _classify(b, one)
         if kind == "rowplm":
-            prod = (am[detail - 1],) * d
+            prod = (a[detail - one],) * len(a)
             break
-        r = _free_row(am)
-        if r != 1:
-            am = _swap_rows(am, r)
-        # am is now a CPLM; bm is anything but a row PLM.
+        r = _free_row(a, one)
+        if r != one:
+            a = _swap_rows(a, r, one)
+            if pi is None:
+                pi = list(range(len(am) + 1))
+            pi[one], pi[r] = pi[r], pi[one]
+        # a is now a CPLM; b is anything but a row PLM.
         if kind == "iplm":
-            prod = _smul_iplm(am, bm)
-            if r != 1:
-                prod = _swap_rows(prod, r)
+            prod = _smul_iplm(a, b, one)
             break
-        c = detail if kind == "pcplm" else 1
-        if c != 1:
-            bm = _swap_columns(bm, c)
-        # bm's column 1 has its 1 in row bm[0], so the product's column 1 is
-        # column bm[0] of am; when bm[0] > 1 that row is below row 1, since am
-        # is canonical.
-        steps.append((r, c, am[bm[0] - 1]))
-        am, bm = _plc(am), _plc(bm)
-    for r, c, first in reversed(steps):
-        prod = (first,) + tuple([x + 1 for x in prod])
-        if c != 1:
-            prod = _swap_columns(prod, c)
-        if r != 1:
-            prod = _swap_rows(prod, r)
-    return prod
+        if kind == "pcplm":
+            c = detail - one
+            b[0], b[c] = b[c], b[0]
+            swaps.append((one - 1, detail - 1))
+        # b's first column has its 1 in row b[0], so product column k+1 is
+        # column b[0] of a; when b[0] > one that row is below row one, since
+        # a is canonical.
+        first = a[b[0] - one]
+        out.append(pi[first] if pi else first)
+        a, b = a[1:], b[1:]
+        one += 1
+    out += [pi[x] for x in prod] if pi else prod
+    for i, j in reversed(swaps):
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
 
 
-def _smul_iplm(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # am is a CPLM with blocks [[l, 0], [v, P]], P its PLC; bm has z first-row
-    # ones, 1 < z < d.  Regrouping bm's columns so that these ones lead gives
-    # blocks [[1, u], [0, B']] with u = (1,)*(z-1) + (0,)*(d-z), and the
-    # product [[l, l*u], [v, v*u + P*B']].  In the z-1 columns where u is 1,
-    # B' is zero (the column's one 1 is in row 1), so the correction block
-    # v*u alone fills them: with l above, each of the first z columns is
-    # column 1 of am.  Every other column has its 1 in a row r >= 2 of bm, so
-    # it is 0 over column r-1 of P.  Each column is written straight to its
+def _smul_iplm(a, b: list[int], one: int) -> list[int]:
+    # a is a CPLM with first row ``one`` and blocks [[l, 0], [v, P]], P its
+    # PLC; b has z first-row ones, 1 < z < len(b).  Regrouping b's columns so
+    # that these ones lead gives blocks [[1, u], [0, B']] with
+    # u = (1,)*(z-1) + (0,)*(len(b)-z), and the product
+    # [[l, l*u], [v, v*u + P*B']].  In the z-1 columns where u is 1, B' is
+    # zero (the column's one 1 is in row one), so the correction block v*u
+    # alone fills them: with l above, each of the first z columns is column 1
+    # of a.  Every other column has its 1 in a row x > one of b, so it is 0
+    # over column x - one of P.  Each column is written straight to its
     # original position, and the regrouped matrices are never formed.
-    first, lower = am[0], am[1:]  # lower: P's column map, rows counted in am
-    return tuple([first if r == 1 else lower[r - 2] for r in bm])
+    first, plc = a[0], a[1:]  # plc: P's column map, rows counted in a
+    return [first if x == one else plc[x - one - 1] for x in b]

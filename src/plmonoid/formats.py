@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import Plm, _plm_of_nonzeros
+from .core import Plm, _plm_of_nonzeros, _require_ints
 from .errors import MatrixParseError, NotPlmError
 from .stochastic import Decomposition, StochasticMatrix
 
@@ -122,10 +122,11 @@ def stochastic_to_text(m: StochasticMatrix) -> str:
 
 
 def decomposition_from_json_dict(obj: dict) -> Decomposition:
+    """Read a decomposition back from its JSON object.  Weights and ``dim``
+    must be exact: a JSON float or boolean is refused."""
     d = obj["dim"]
-    terms = tuple(
-        (Fraction(term["lambda"]), Plm(tuple(term["colmap"]))) for term in obj["terms"]
-    )
+    _require_ints(dim=d)
+    terms = tuple((term["lambda"], Plm(tuple(term["colmap"]))) for term in obj["terms"])
     dec = Decomposition(terms)
     if dec.dim != d:
         raise ValueError(f"declared dim {d} but terms have dim {dec.dim}")

@@ -98,11 +98,18 @@ class StochasticMatrix:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Convex combination of PLMs: positive weights summing to exactly 1."""
+    """Convex combination of PLMs: positive weights summing to exactly 1.
+
+    Weights must be exact, of the types ``StochasticMatrix`` takes for its
+    entries: an ``int`` (not a ``bool``), a ``Fraction`` or a string.
+    """
 
     terms: tuple[tuple[Fraction, Plm], ...]
 
     def __post_init__(self):
+        for n, (lam, _) in enumerate(self.terms, start=1):
+            if type(lam) not in _EXACT_TYPES:
+                raise ValueError(f"weight {lam!r} of term {n} is not an int, Fraction or str")
         terms = tuple([(Fraction(lam), p) for lam, p in self.terms])
         object.__setattr__(self, "terms", terms)
         if not terms:

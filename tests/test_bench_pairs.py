@@ -118,9 +118,30 @@ def test_traced_record_holds_each_layer_metric(bench_pairs):
     assert parse["change_over_parent"] == pytest.approx(0.2 / 0.9)
     # a layer the parent never entered has no ratio
     assert record["metrics"]["verify.sweep_eigen.self_s"]["change_over_parent"] is None
+    assert record["counts_differ"] == ["core.from_dense.calls"]
+    assert record["counts_equal"] is False
     assert record["order"] == {"1": "parent first", "2": "change first", "3": "parent first"}
     assert record["correct"] is True
     assert record["failed"] == {"parent": [0] * 3, "change": [0] * 3}
+
+
+def test_traced_record_lists_the_counts_that_differ(bench_pairs):
+    # only count metrics are compared; a time may differ freely
+    runs = {
+        "parent": [fake_traced(72, 0.8), fake_traced(72, 1.0)],
+        "change": [fake_traced(72, 0.2), fake_traced(72, 0.1)],
+    }
+    record = bench_pairs.summarize_traced([1, 2], runs)
+    assert record["counts_differ"] == []
+    assert record["counts_equal"] is True
+    # one seed is enough to make a count differ, even with equal medians
+    runs["change"] = [fake_traced(72, 0.2), fake_traced(73, 0.1)]
+    runs["parent"].append(fake_traced(73, 0.9))
+    runs["change"].append(fake_traced(72, 0.3))
+    record = bench_pairs.summarize_traced([1, 2, 3], runs)
+    assert record["metrics"]["core.from_dense.calls"]["change_over_parent"] == 1.0
+    assert record["counts_differ"] == ["core.from_dense.calls"]
+    assert record["counts_equal"] is False
 
 
 def test_traced_flag_sets_the_trace_option(bench_pairs):

@@ -112,6 +112,16 @@ class TestPermutation:
         with pytest.raises(ValueError, match=f"^{name} must be an int"):
             Permutation.transposition(*args)
 
+    @pytest.mark.parametrize("make, d", [
+        (lambda: Permutation(()), 0),
+        (lambda: Permutation.identity(0), 0),
+        (lambda: Permutation.identity(-3), -3),
+    ])
+    def test_refuses_a_dimension_below_one(self, make, d):
+        # the same refusal as Plm, identity and the sweeps
+        with pytest.raises(ValueError, match=f"^dimension {d} must be >= 1$"):
+            make()
+
 
 class TestPlmConstruction:
     def test_colmap_must_be_in_range(self):

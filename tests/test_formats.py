@@ -166,6 +166,22 @@ class TestDecompositionJson:
         again = decomposition_from_json_dict(json.loads(dumps_compact(dec.to_json_dict())))
         assert again.terms == dec.terms
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5, True])
+    def test_refuses_an_inexact_weight(self, lam):
+        obj = {"dim": 2, "terms": [{"lambda": lam, "colmap": [1, 2]}]}
+        with pytest.raises(ValueError, match=f"^weight {lam!r} of term 1 is not"):
+            decomposition_from_json_dict(obj)
+
+    @pytest.mark.parametrize("dim", [True, 1.0, "1"])
+    def test_refuses_an_inexact_dim(self, dim):
+        obj = {"dim": dim, "terms": [{"lambda": "1", "colmap": [1]}]}
+        with pytest.raises(ValueError, match=f"^dim must be an int, not {dim!r}$"):
+            decomposition_from_json_dict(obj)
+
+    def test_exact_weights_are_read(self):
+        obj = {"dim": 2, "terms": [{"lambda": 1, "colmap": [2, 1]}]}
+        assert decomposition_from_json_dict(obj).terms == ((Fraction(1), Plm((2, 1))),)
+
     def test_declared_dim_must_match(self):
         obj = decompose(B).to_json_dict()
         obj["dim"] = 4

@@ -9,7 +9,8 @@ and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, plus the text and JSON round trips.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
-operands up to d = 12, and the seeded decomposition sweep (denominators up to
+operands up to d = 12, operands up to d = 40 built to peel the structural
+product many levels deep, and the seeded decomposition sweep (denominators up to
 1000, d <= 8) with prime denominators up to 2**61 - 1 and d up to 16.
 """
 
@@ -42,6 +43,7 @@ from plmonoid import (
     structural_multiply,
     to_dense,
 )
+from plmonoid import core
 from plmonoid.formats import (
     decomposition_from_json_dict,
     dumps_compact,
@@ -87,6 +89,79 @@ def test_structural_multiply_is_associative(triple):
     a, b, c = triple
     left = structural_multiply(structural_multiply(a, b), c)
     assert left == structural_multiply(a, structural_multiply(b, c))
+
+
+# --- deep peels ----------------------------------------------------------------
+# Random column maps mostly end the structural peel at level 0 or 1.  These
+# operands keep it going: a permutation right factor has one first-row 1 at
+# every level, CPLMs and PCPLMs take the peeling cases at the top, and a left
+# factor with a 1 in row 1 past column 1 needs the row swap there.
+
+DEEP_D = 40
+
+
+def permutations(d):
+    return st.permutations(range(1, d + 1)).map(lambda p: Plm(tuple(p)))
+
+
+def cplms(d):
+    # Column 1 anywhere, columns 2..d below row 1.
+    rest = st.lists(st.integers(2, d), min_size=d - 1, max_size=d - 1)
+    return st.tuples(st.integers(1, d), rest).map(lambda t: Plm((t[0], *t[1])))
+
+
+def row_swapping(d):
+    # Any map with row 1 hit by some column after the first.
+    cm = st.lists(st.integers(1, d), min_size=d, max_size=d)
+    return st.tuples(cm, st.integers(1, d - 1)).map(
+        lambda t: Plm(tuple(t[0][: t[1]] + [1] + t[0][t[1] + 1:]))
+    )
+
+
+def pcplms(d):
+    # A leading CPLM with column 1 swapped into column c >= 2.
+    rest = st.lists(st.integers(2, d), min_size=d - 1, max_size=d - 1)
+    return st.tuples(rest, st.integers(1, d - 1)).map(
+        lambda t: Plm(tuple(t[0][: t[1] - 1] + [1] + t[0][t[1] - 1:]))
+    )
+
+
+def deep_operands(n):
+    def draw(d):
+        left = st.one_of(permutations(d), cplms(d), row_swapping(d))
+        right = st.one_of(permutations(d), cplms(d), pcplms(d))
+        return st.tuples(left, *[right] * (n - 1))
+
+    return st.integers(2, DEEP_D).flatmap(draw)
+
+
+@SETTINGS
+@given(deep_operands(2))
+def test_three_routes_agree_on_deep_peels(pair):
+    a, b = pair
+    via_oracle = from_dense(oracle_multiply(to_dense(a), to_dense(b)))
+    assert multiply(a, b) == structural_multiply(a, b) == via_oracle
+
+
+@SETTINGS
+@given(deep_operands(3))
+def test_structural_multiply_is_associative_on_deep_peels(triple):
+    a, b, c = triple
+    left = structural_multiply(structural_multiply(a, b), c)
+    assert left == structural_multiply(a, structural_multiply(b, c))
+
+
+@SETTINGS
+@given(st.integers(2, DEEP_D).flatmap(lambda d: st.tuples(permutations(d), permutations(d))))
+def test_permutation_products_peel_every_level(pair):
+    # Neither slice is a row PLM before the last column, so the product
+    # passes the free-row step at every level k = 0..d-2 and ends on a row
+    # PLM of dimension 1.
+    a, b = pair
+    with mock.patch.object(core, "_free_row", wraps=core._free_row) as free_row:
+        prod = structural_multiply(a, b)
+    assert [call.args[1] for call in free_row.call_args_list] == list(range(1, a.dim))
+    assert prod == multiply(a, b)
 
 
 @SETTINGS

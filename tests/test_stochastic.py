@@ -285,6 +285,21 @@ class TestDecompositionType:
         with pytest.raises(DimensionMismatchError):
             Decomposition(((F(1, 2), identity(2)), (F(1, 2), identity(3))))
 
+    @pytest.mark.parametrize("weight", [0.5, True, 1.0])
+    def test_refuses_inexact_weights(self, weight):
+        # a float would be read as its binary approximation and fail later as
+        # a weight sum; True would pass as weight 1
+        rest = () if weight == 1 else ((F(1, 2), Plm((2, 1))),)
+        with pytest.raises(ValueError, match=rf"^weight {weight!r} of term 1 is not an int, Fraction or str$"):
+            Decomposition(((weight, identity(2)),) + rest)
+
+    def test_exact_weight_types(self):
+        for weights in ((1,), ("1/2", F(1, 2)), ("0.25", "3/4")):
+            dec = Decomposition(tuple((w, identity(2)) for w in weights))
+            assert all(type(lam) is F for lam, _ in dec.terms)
+        with pytest.raises(WeightSumNotOneError):
+            Decomposition((("1/2", identity(2)),))
+
     def test_term_count_bound_enforced(self):
         # five distinct weights cannot fit the 4-term bound at d = 2
         weights = [F(1, 5)] * 5

@@ -22,7 +22,11 @@ Exits 1 if a run fails, is incorrect or has failed cases.
 With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
 the record holds every per-layer metric: both sides' values by seed and
 ``change_over_parent``, the change's median over the parent's (null when the
-parent's median is 0).  It is stored under ``NAME_traced``.
+parent's median is 0).  The traced pass is fixed, so a change that keeps the
+work the same keeps every ``count`` metric (calls, branches, steps) the same:
+``counts_differ`` lists each one whose values differ between the two sides on
+some seed, a line is printed for each, and ``counts_equal`` is true when the
+list is empty.  It is stored under ``NAME_traced``.
 """
 
 import argparse
@@ -119,11 +123,15 @@ def summarize_traced(seeds: list[int], runs: dict) -> dict:
     """The record of traced runs (see ``run_fields``): each per-layer metric
     of the parent's runs, with both sides' values and their median ratio."""
     record = run_fields(seeds, runs)
-    for name in sorted(runs["parent"][0]["metrics"]):
+    record["counts_differ"] = []
+    for name, metric in sorted(runs["parent"][0]["metrics"].items()):
         values = metric_values(runs, name)
         parent = statistics.median(values["parent"])
         ratio = statistics.median(values["change"]) / parent if parent else None
         record["metrics"][name] = {**values, "change_over_parent": ratio}
+        if metric["unit"] == "count" and values["parent"] != values["change"]:
+            record["counts_differ"].append(name)
+    record["counts_equal"] = not record["counts_differ"]
     return record
 
 
@@ -174,6 +182,8 @@ def main() -> int:
     stored = json.loads(args.out.read_text()) if args.out.exists() else {}
     stored[f"{args.workload}_{'traced' if args.trace else 'pairs'}"] = record
     args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    for name in record.get("counts_differ", []):
+        print(f"{name}: the count differs between the two sides", file=sys.stderr)
     for name, s in record["metrics"].items():
         if args.trace:
             print(f"{name:40s} parent {s['parent']}  change {s['change']}", file=sys.stderr)
