@@ -495,20 +495,19 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
 
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # The structural product of two column maps of equal length d, peeled in
+    # The structural product of two column maps of equal length, peeled in
     # place on unshifted labels.  At level k the live factors a and b are the
-    # slices am[k:] and bm[k:] (a with its rows relabelled so far): columns
-    # k+1..d, with their 1s in rows k+1..d, so their first row is label
-    # one = k + 1.  Each level decides, in order: a a row PLM (the product
-    # is a); b a row PLM R_m (every product column is column m of a); else
-    # the free row r of a and the relabel (one r) that makes a a CPLM; then
-    # an IPLM b gives the innermost product by the block step, and a CPLM or
-    # PCPLM b (with its lone first-row 1 swapped into column k+1) gives
-    # product column k+1.  In that last case a[1:] and b[1:] avoid row one,
-    # so they are the two PLCs as they stand and the next level is k + 1.
-    # The relabels are composed into one label map pi (built on the first
-    # one), applied to each product entry as it is written; so the way back
-    # only undoes the column swaps, latest first, and no label is shifted.
+    # slices am[k:] and bm[k:] (a with its rows relabelled so far), whose 1s
+    # lie in rows k+1.., so their first row is label one = k + 1.  Each level
+    # decides, in order: left row PLM (the product is a); right row PLM R_m
+    # (every product column is column m of a); else the free row r of a and
+    # the relabel (one r) that makes a a CPLM; then an IPLM b gives the rest
+    # of the product by the block step, and a CPLM or PCPLM b (its lone
+    # first-row 1 swapped into column k+1) gives product column k+1.  Then
+    # a[1:] and b[1:] avoid row one, so they are the PLCs as they stand.
+    # The relabels are composed into one label map pi (built at the first
+    # one) and applied to each product entry as it is written, so the way
+    # back only undoes the column swaps, latest first.
     a, b = am, list(bm)
     out = []  # product columns 1..k
     pi = None
