@@ -11,6 +11,7 @@ stderr instead of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -244,10 +245,17 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to ``main``, not at import, and shared by every
+    # later call in the process: parsing keeps no state in the parser, and
+    # argparse looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,11 +7,13 @@ integers, or as decimals; decimals parse exactly (0.1 means 1/10).  Writers
 emit the dense form.
 
 The dense PLM reader and writer work on the column map, never on a d x d grid
-of ints.  The reader splits each line once and hands only the tokens other
-than ``"0"`` to ``int``; any token ``int`` accepts reads as that integer
-(``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are ones, ``1_0`` is
-ten), and the column check is the one ``from_dense`` uses.  The writer sets
-one ``"1"`` per column in rows of ``"0"``.
+of ints.  A row as the writer writes it, d characters ``0`` or ``1`` between
+single spaces, is checked and has its ones found by C-level ``str`` methods,
+in O(ones) Python steps and without splitting it.  Any other row is split once
+and its tokens other than ``"0"`` go to ``int``; any token ``int`` accepts
+reads as that integer (``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1``
+are ones, ``1_0`` is ten).  The column check is the one ``from_dense`` uses.
+The writer sets one ``"1"`` per column in rows of ``"0"``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .stochastic import Decomposition, StochasticMatrix
 
 
 def _numbered_lines(text: str):
-    return [(n, line.strip()) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    stripped = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
+    return [(n, line) for n, line in stripped if line]
 
 
 def _parse_dim(path, lines):
@@ -41,6 +44,25 @@ def _parse_dim(path, lines):
     if len(lines) - 1 != d:
         raise MatrixParseError(path, n, f"expected {d} matrix rows, found {len(lines) - 1}")
     return d, lines[1:]
+
+
+def _plain_row(line: str, d: int) -> list[tuple[int, int]] | None:
+    """The ``(column, 1)`` pairs of a row written as ``plm_to_text`` writes
+    it, d characters ``0`` or ``1`` between single spaces; None for any other
+    row.  C-level ``str`` methods check the row and find its ones, so the
+    Python steps are O(ones), not O(d)."""
+    if len(line) != 2 * d - 1 or line.count(" ") != d - 1:
+        return None
+    cells = line[::2]
+    ones = cells.count("1")
+    if cells.count("0") + ones != d:
+        return None
+    pairs = []
+    j = -1
+    for _ in range(ones):
+        j = cells.find("1", j + 1)
+        pairs.append((j, 1))
+    return pairs
 
 
 def parse_plm_text(text: str, path: str = "<input>") -> Plm:
@@ -69,13 +91,15 @@ def parse_plm_text(text: str, path: str = "<input>") -> Plm:
     d, rows = _parse_dim(path, lines)
     nonzeros = []
     for n, line in rows:
-        toks = line.split()
-        try:
-            pairs = [(j, int(t)) for j, t in enumerate(toks) if t != "0"]
-        except ValueError:
-            raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
-        if len(toks) != d:
-            raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
+        pairs = _plain_row(line, d)
+        if pairs is None:
+            toks = line.split()
+            try:
+                pairs = [(j, int(t)) for j, t in enumerate(toks) if t != "0"]
+            except ValueError:
+                raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
+            if len(toks) != d:
+                raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
         nonzeros.append(pairs)
     try:
         return _plm_of_nonzeros(d, nonzeros)

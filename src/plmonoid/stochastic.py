@@ -6,8 +6,10 @@ matrices, and the combination here is found greedily: repeatedly locate the
 first positive entry of every column, peel off the PLM those positions form,
 scaled by the smallest entry involved, and continue on the remainder.  Every
 step zeroes at least one more entry while keeping the remainder nonnegative
-with uniform column sums, so at most d^2 terms appear and the weights sum to
-1 exactly.  Those invariants hold by construction and are not re-checked;
+with uniform column sums, and the last step zeroes d entries, one per column.
+So a matrix with nnz positive entries takes at most nnz - d + 1 <= d^2 - d + 1
+terms (also Carathéodory's bound), and the weights sum to 1 exactly.  Those
+invariants hold by construction and are not re-checked;
 :func:`check_decomposition` verifies a decomposition from its terms alone.
 
 Validation happens where caller data enters: the ``StochasticMatrix`` and

@@ -92,6 +92,21 @@ def test_one_incorrect_run_makes_the_record_incorrect(bench_pairs):
     assert (rate["change_q1"], rate["change_median"], rate["change_q3"]) == (120, 120, 120)
 
 
+def test_memory_line_shows_the_samples_each_side_holds(bench_pairs):
+    runs = {"parent": [], "change": []}
+    for side, rate, rss in (("parent", 400, 38.0), ("change", 700, 41.5)):
+        for k in range(3):
+            run = fake_run(rate + k, 1.0)
+            run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+            runs[side].append(run)
+    metrics = {**METRICS, "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}}
+    record = bench_pairs.summarize_pairs([1, 2, 3], runs, metrics)
+    line = bench_pairs.pair_line(record, "peak_rss_mb")
+    assert line.startswith("peak_rss_mb    parent         38  change       41.5  x1.092  wins 0/3")
+    assert line.endswith("  latency_samples parent 401  change 701")
+    assert "latency_samples" not in bench_pairs.pair_line(record, "cases_per_s")
+
+
 def fake_traced(calls, self_s, idle_s=0.0):
     run = fake_run(0, 0)
     run["metrics"] = {

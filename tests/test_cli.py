@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -376,6 +377,49 @@ def test_unknown_command_exit_2(run):
 def test_missing_arguments_exit_2(run):
     code, _, _ = run("mul")
     assert code == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser on its first call and reuses it."""
+
+    def test_calls_match_a_fresh_parser(self, run, files, monkeypatch):
+        sequence = [
+            ("mul", files["a.txt"], "--nope"),
+            ("--help",),
+            ("mul", files["a.txt"], files["a.txt"]),
+            ("eigen", files["a.txt"], "--tol", "nan"),
+            ("verify", "mul", "2"),
+        ]
+
+        def outcomes():
+            # The sweep's elapsed time goes to stderr and is not repeatable.
+            return [
+                (code, out, re.sub(r"\d+ ms", "N ms", err))
+                for code, out, err in (run(*argv) for argv in sequence)
+            ]
+
+        shared = outcomes()
+        assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == outcomes()
+
+    def test_help_is_the_parser_help(self, run):
+        code, out, err = run("--help")
+        assert (code, err) == (0, "")
+        assert out == cli.build_parser().format_help()
+
+    def test_built_once_and_not_at_import(self, run):
+        env = {**os.environ, "PYTHONPATH": str(Path(plmonoid.__file__).parents[1])}
+        check = "from plmonoid import cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout == "0\n"
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+            cli._parser.cache_clear()
+            for _ in range(3):
+                run("verify", "nope", "2")
+        assert build.call_count == 1
 
 
 class TestExitCodes:

@@ -6,7 +6,8 @@ cyclotomic and linear polynomials: the integer square-free factorization
 against sympy; on hostile left stochastic matrices: the integer greedy
 decomposition against a Fraction reference, and the verifier on its output;
 and on token grids: the dense text reader and ``from_dense`` against the
-int-grid path they replaced, plus the text and JSON round trips.
+int-grid path they replaced, its plain-row scan against the comprehension
+it bypasses, plus the text and JSON round trips.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
 operands up to d = 12, operands up to d = 40 built to peel the structural
@@ -45,6 +46,7 @@ from plmonoid import (
 )
 from plmonoid import core
 from plmonoid.formats import (
+    _plain_row,
     decomposition_from_json_dict,
     dumps_compact,
     parse_plm_text,
@@ -525,6 +527,57 @@ def test_dense_reader_matches_the_int_grid_path(grid):
     )
 
 
+# Tokens and separators of a drawn row: a row of single "0" and "1" tokens
+# between single spaces takes the reader's plain-row scan, any other row the
+# token-by-token comprehension.
+ROW_TOKENS = ("0", "1", "00", "01", "+1", "2", "-1", "٠", "1_0", "x")
+ROW_SEPARATORS = (" ", " ", " ", "  ", "\t")
+
+
+def token_rows(d):
+    """d rows of about d tokens each, joined by separators from
+    ``ROW_SEPARATORS``: some of only "0" and "1", some of those with one
+    token from ``ROW_TOKENS`` (so a row can be as long as a plain one, as
+    ``0 1_0`` is at d = 3), and some from ``ROW_TOKENS`` alone."""
+    length = {"min_size": max(1, d - 1), "max_size": d + 1}
+    plain = st.lists(st.sampled_from(("0", "1")), **length)
+
+    def one_replaced(args):
+        toks, i, tok = args
+        toks[i % len(toks)] = tok
+        return toks
+
+    toks = st.one_of(
+        plain,
+        st.tuples(plain, st.integers(0, d), st.sampled_from(ROW_TOKENS)).map(one_replaced),
+        st.lists(st.sampled_from(ROW_TOKENS), **length),
+    )
+    return st.lists(st.tuples(st.sampled_from(ROW_SEPARATORS), toks), min_size=d, max_size=d)
+
+
+def comprehension_scan(toks):
+    """The row reader before the plain-row scan: every token other than "0"
+    through ``int``."""
+    return [(j, int(t)) for j, t in enumerate(toks) if t != "0"]
+
+
+@TEXT_SETTINGS
+@given(st.integers(1, 8).flatmap(token_rows))
+def test_plain_row_scan_matches_the_comprehension(rows):
+    d = len(rows)
+    lines = [sep.join(toks) for sep, toks in rows]
+    for line in lines:
+        pairs = _plain_row(line, d)
+        if pairs is not None:
+            assert len(line.split()) == d
+            assert pairs == comprehension_scan(line.split())
+    text = f"{d}\n" + "".join(f"{line}\n" for line in lines)
+    numbered = list(enumerate(lines, start=2))
+    assert outcome(parse_plm_text, text, "f.txt") == outcome(
+        reference_read_dense, d, numbered, "f.txt"
+    )
+
+
 def value_grids():
     values = st.sampled_from((0, 1, 0, 1, 2, -1, True, False, 1.0, 0.0, 0.5))
     return st.integers(1, 6).flatmap(
@@ -545,7 +598,7 @@ def reference_plm_to_text(a):
 
 
 def text_plms():
-    return st.integers(1, 40).flatmap(colmaps)
+    return st.integers(1, 64).flatmap(colmaps)
 
 
 @SETTINGS

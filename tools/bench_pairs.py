@@ -15,8 +15,10 @@ the change reads better in the direction BENCHMARK.json gives (ties count
 for neither side).  It also holds the metric's BENCHMARK.json ``bound`` and
 ``within_bound``, false when the change's median is worse than the parent's
 by more than that bound, as a share of the parent's median; a line is
-printed for each metric outside its bound.  The record is stored under the
-key ``NAME_pairs`` of the OUT file, next to whatever else that file holds.
+printed for each metric outside its bound, and the line of ``peak_rss_mb``
+also gives each side's median ``latency_samples``.  The record is stored
+under the key ``NAME_pairs`` of the OUT file, next to whatever else that
+file holds.
 Exits 1 if a run fails, is incorrect or has failed cases.
 
 With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
@@ -119,6 +121,19 @@ def summarize_pairs(seeds: list[int], runs: dict, metrics: dict) -> dict:
     return record
 
 
+def pair_line(record: dict, name: str) -> str:
+    """The printed summary of one metric of a pair record.  ``peak_rss_mb``
+    also shows each side's median ``latency_samples``: the harness holds its
+    samples in memory, so a side that runs more cases reads as more memory."""
+    s = record["metrics"][name]
+    line = (f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
+            f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(record['seeds'])}")
+    if name == "peak_rss_mb":
+        samples = {side: statistics.median(record["latency_samples"][side]) for side in SIDES}
+        line += f"  latency_samples parent {samples['parent']:g}  change {samples['change']:g}"
+    return line
+
+
 def summarize_traced(seeds: list[int], runs: dict) -> dict:
     """The record of traced runs (see ``run_fields``): each per-layer metric
     of the parent's runs, with both sides' values and their median ratio."""
@@ -188,9 +203,7 @@ def main() -> int:
         if args.trace:
             print(f"{name:40s} parent {s['parent']}  change {s['change']}", file=sys.stderr)
         else:
-            print(f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
-                  f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(seeds)}",
-                  file=sys.stderr)
+            print(pair_line(record, name), file=sys.stderr)
             if not s["within_bound"]:
                 print(f"{name}: the change's median is worse than the parent's by more"
                       f" than the bound {s['bound']:.0%}", file=sys.stderr)
