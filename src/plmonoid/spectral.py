@@ -5,9 +5,10 @@ cycle: there are minimal s >= 1 and t >= 1 with ``A^(s+t) == A^s``.  That one
 identity drives everything here.  It gives the periodicity verdict (a row-PLM
 power stays constant, so A is pre-row exactly when ``A^s`` is one), and it
 forces the minimal polynomial to divide ``x^s (x^t - 1)``, so every eigenvalue
-is zero or a t-th root of unity.  The power walk finds s and t by Brent's cycle
-detection on column maps, in O(d) memory; its time is O((s + t) d), and t can
-grow like Landau's function of d.  The characteristic polynomial is computed
+is zero or a t-th root of unity.  s and t, and the verdict, are read off one
+O(d) pass over A's functional graph j -> ``colmap[j - 1]``: s is the longest
+path into a cycle (at least 1) and t the lcm of the cycle lengths, although t
+can grow like Landau's function of d.  The characteristic polynomial is computed
 exactly over the integers by the Faddeev-LeVerrier trace recursion, O(d^3) on
 the column map, and its roots are cross-checked numerically.
 
@@ -25,12 +26,12 @@ pseudo-remainder sequences and its divisions are by monic divisors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .core import Plm, _classify, _plm_trusted, _require_ints, multiply, to_dense
+from .core import Plm, _plm_trusted, _require_ints, multiply, to_dense
 from .errors import RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -120,8 +121,7 @@ def power(a: Plm, k: int) -> Plm:
     _require_ints(k=k)
     if k < 0:
         raise ValueError("PLMs are not invertible in general; exponent must be >= 0")
-    result = _plm_trusted(tuple(range(1, a.dim + 1)))
-    base = a
+    result, base = _plm_trusted(tuple(range(1, a.dim + 1))), a
     while k:
         if k & 1:
             result = multiply(result, base)
@@ -130,54 +130,59 @@ def power(a: Plm, k: int) -> Plm:
     return result
 
 
-def power_cycle(a: Plm) -> PowerCycle:
-    """Minimal tail and period of A, A^2, ... by Brent's cycle detection.
+def _graph(cm) -> tuple[int, list[tuple[int, int]]]:
+    # A's functional graph j -> cm[j - 1], peeled of its in-degree-0 nodes
+    # round by round (Kahn's order).  Returns the number of rounds, which is
+    # the longest path from a node into a cycle, and the cycles left as
+    # (length, least node) pairs in order of that node.  O(d).
+    indeg = [0] * (len(cm) + 1)
+    for r in cm:
+        indeg[r] += 1
+    layer = [j for j in range(1, len(cm) + 1) if not indeg[j]]
+    height = 0
+    while layer:
+        height += 1
+        for j in layer:
+            indeg[cm[j - 1]] -= 1
+        layer = [r for r in {cm[j - 1] for j in layer} if not indeg[r]]
+    cycles = []
+    for j in range(1, len(cm) + 1):
+        n, r = 0, j
+        while indeg[r]:  # 1 on a cycle not yet walked, else 0
+            indeg[r] = 0
+            r, n = cm[r - 1], n + 1
+        if n:
+            cycles.append((n, j))
+    return height, cycles
 
-    Brent (1980, BIT 20) finds the period with two powers in hand, then the
-    tail with two more walking a period apart, so memory is O(d).  Time stays
-    O((tail + period) d), and the period can grow like Landau's function of d.
-    The walk runs on column maps: p * A has column map ``p[r - 1]`` over the
-    entries r of A's.
+
+def power_cycle(a: Plm) -> PowerCycle:
+    """Minimal tail and period of A, A^2, ... read off A's functional graph.
+
+    A^k has column map f^k, so ``A^(k+t) == A^k`` exactly when k is at least
+    every node's distance to its cycle and t a multiple of every cycle length:
+    the tail is the longest path into a cycle, at least 1, and the period the
+    lcm of the cycle lengths.  One O(d) pass, whatever the period.
     """
-    cm = a.colmap
-    if len(cm) == 1:
-        # itemgetter of one index returns the entry, not a 1-tuple
-        return PowerCycle(tail=1, period=1)
-    step = itemgetter(*[r - 1 for r in cm])
-    power2 = period = 1
-    tortoise, hare = cm, step(cm)
-    while tortoise != hare:
-        if power2 == period:
-            tortoise = hare
-            power2 *= 2
-            period = 0
-        hare = step(hare)
-        period += 1
-    tortoise = hare = cm
-    for _ in range(period):
-        hare = step(hare)
-    tail = 1
-    while tortoise != hare:
-        tortoise, hare = step(tortoise), step(hare)
-        tail += 1
-    return PowerCycle(tail=tail, period=period)
+    height, cycles = _graph(a.colmap)
+    return PowerCycle(tail=max(1, height), period=math.lcm(*[n for n, _ in cycles]))
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
-    """Classify the power behavior of A from one power walk.
+    """Classify the power behavior of A from its functional graph.
 
-    A row PLM absorbs from the left: if ``A^e == R_m`` then ``A^(e+1) == R_m``,
-    so the powers are constant from e on.  That forces s <= e and t = 1, and
-    then ``A^s == A^e``.  So A is pre-row exactly when ``A^s`` is a row PLM;
-    then e = s and m is its row, and with s = 1 that test gives ``is_prerow``.
+    A^k is a row PLM exactly when f^k is constant.  f permutes its cycles'
+    nodes, so that needs one cycle, a fixed point m, and k at least every
+    node's distance to m.  Then A is pre-row with e = s and that m, and with
+    s = 1 the same test gives ``is_prerow``.
     """
-    cyc = power_cycle(a)
-    s, t = cyc.tail, cyc.period
-    kind, m = _classify(power(a, s).colmap)
+    height, cycles = _graph(a.colmap)
+    s, t = max(1, height), math.lcm(*[n for n, _ in cycles])
+    is_prerow = len(cycles) == 1 and cycles[0][0] == 1
     if s == 1:
-        return PeriodicityVerdict.periodic(k=t, is_prerow=kind == "rowplm")
-    if kind == "rowplm":
-        return PeriodicityVerdict.prerow(e=s, m=m)
+        return PeriodicityVerdict.periodic(k=t, is_prerow=is_prerow)
+    if is_prerow:
+        return PeriodicityVerdict.prerow(e=s, m=cycles[0][1])
     return PeriodicityVerdict.eventually_periodic(s=s, t=t)
 
 
@@ -210,9 +215,7 @@ def char_poly(a: Plm) -> CharPoly:
 
 def one_norm(a: Plm) -> int:
     """Maximum column sum of the dense form.  Always 1 for a PLM."""
-    dense = to_dense(a).entries
-    d = a.dim
-    return max(sum(dense[i][j] for i in range(d)) for j in range(d))
+    return max(map(sum, zip(*to_dense(a).entries)))
 
 
 # --- polynomial helpers over Z, coefficients leading-first ---
@@ -349,12 +352,14 @@ def max_unity_deviation(roots, period: int, tol: float) -> float:
 
 
 def check_tol(tol: float, name: str = "tolerance") -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite number above 0.
+    """Raise ``ValueError`` unless ``tol`` is a finite real number above 0.
 
-    Every comparison with NaN is false, so a NaN tolerance would pass
-    ``tol <= 0`` and then every ``dev > tol`` test, and an infinite one
-    accepts any root: either turns the numeric cross-check off.
+    A bool would be a tolerance of 0 or 1.  NaN fails every comparison, so
+    it would pass ``tol <= 0`` and every ``dev > tol`` test, and an infinite
+    tolerance accepts any root: either turns the numeric cross-check off.
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {tol!r}")
     if tol <= 0:
         raise ValueError(f"{name} must be positive, got {tol}")
     if not math.isfinite(tol):

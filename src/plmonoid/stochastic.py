@@ -109,10 +109,7 @@ class Decomposition:
     terms: tuple[tuple[Fraction, Plm], ...]
 
     def __post_init__(self):
-        for n, (lam, _) in enumerate(self.terms, start=1):
-            if type(lam) not in _EXACT_TYPES:
-                raise ValueError(f"weight {lam!r} of term {n} is not an int, Fraction or str")
-        terms = tuple([(Fraction(lam), p) for lam, p in self.terms])
+        terms = _exact_terms(self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise WeightSumNotOneError("a decomposition needs at least one term")
@@ -137,6 +134,17 @@ class Decomposition:
                 {"lambda": str(lam), "colmap": list(p.colmap)} for lam, p in self.terms
             ],
         }
+
+
+def _exact_terms(terms) -> tuple[tuple[Fraction, Plm], ...]:
+    # The (weight, PLM) pairs with each weight a Fraction.  Weights must be of
+    # the exact types StochasticMatrix takes for its entries.
+    out = []
+    for n, (lam, p) in enumerate(terms, start=1):
+        if type(lam) not in _EXACT_TYPES:
+            raise ValueError(f"weight {lam!r} of term {n} is not an int, Fraction or str")
+        out.append((Fraction(lam), p))
+    return tuple(out)
 
 
 def is_left_stochastic(m: StochasticMatrix) -> bool:
@@ -298,11 +306,12 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
 def convex_combine(terms) -> StochasticMatrix:
     """Sum weight * PLM over the given (weight, Plm) pairs, exactly.
 
-    Weights must lie in [0, 1] and sum to exactly 1; zero weights are allowed
-    here even though :class:`Decomposition` excludes them.  The sum runs on
-    ints scaled by the least common multiple of the weight denominators.
+    Weights must be exact, of the types :class:`Decomposition` takes, lie in
+    [0, 1] and sum to exactly 1; zero weights are allowed here even though
+    :class:`Decomposition` excludes them.  The sum runs on ints scaled by the
+    least common multiple of the weight denominators.
     """
-    terms = [(Fraction(lam), p) for lam, p in terms]
+    terms = _exact_terms(terms)
     if not terms:
         raise WeightSumNotOneError("no terms to combine")
     d = terms[0][1].dim
@@ -327,7 +336,7 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
     Each column picks a denominator q <= max_denominator and splits q into d
     nonnegative integer parts uniformly via sorted cut points.
     """
-    _require_ints(d=d, max_denominator=max_denominator)
+    _require_ints(d=d, seed=seed, max_denominator=max_denominator)
     if d < 1:
         raise ValueError(f"dimension {d} must be >= 1")
     if max_denominator < 1:

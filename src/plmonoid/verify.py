@@ -400,7 +400,9 @@ def _decompose_chunk(d: int, seed: int, start: int, stop: int):
 def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
     """Random left stochastic matrices: decompose, then re-verify everything
     from the output alone with :func:`check_decomposition` (round trip, weight
-    sum, term bound, and the step-by-step remainder walk)."""
+    sum, term bound, and the step-by-step remainder walk).  ``seed`` must be
+    an int: the report carries it."""
+    _require_ints(seed=seed)
     return _sweep(
         "decompose",
         d,

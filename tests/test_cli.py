@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -125,6 +126,22 @@ class TestClassifyPeriodEigen:
         code, out, _ = run("period", files["a.txt"])
         assert code == 0
         assert out == '{"e": 2, "is_prerow": true, "m": 3, "periodicity": "prerow"}\n'
+
+    def test_period_of_an_85_x_85_permutation(self, run, tmp_path):
+        # cycles (4, 5, 7, 9, 11, 13, 17, 19): period 58,198,140, which a walk
+        # over the powers would take that many products to find
+        cm, start = [], 1
+        for n in (4, 5, 7, 9, 11, 13, 17, 19):
+            cm += [start + (i + 1) % n for i in range(n)]
+            start += n
+        path = tmp_path / "p85.txt"
+        path.write_text(plm_to_colmap_line(Plm(tuple(cm))) + "\n")
+        t0 = time.perf_counter()
+        code, out, err = run("period", str(path))
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        assert out == '{"is_prerow": false, "k": 58198140, "periodicity": "periodic"}\n'
+        assert elapsed < 1.0
 
     def test_eigen(self, run, files):
         code, out, _ = run("eigen", files["i.txt"])

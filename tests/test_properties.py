@@ -239,7 +239,7 @@ def test_char_poly_matches_sympy(a):
 
 def dict_walk(a):
     """Tail and period from a dict of every power A^k to its exponent k:
-    O(period * d) memory, kept as the reference for the O(d) walk."""
+    O(period * d) memory, kept as the reference for the functional-graph pass."""
     seen = {}
     p, k = a, 1
     while p not in seen:

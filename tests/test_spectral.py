@@ -1,7 +1,9 @@
 """Power cycles, periodicity verdicts, and exact-vs-numeric eigenvalue checks."""
 
 import random
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,60 @@ class TestPeriodicity:
                 assert v.e <= cyc.tail + cyc.period
 
 
+class TestGraphAtLargeD:
+    """One pass over the functional graph, at sizes no power walk reaches:
+    walking A, A^2, ... costs (tail + period) products of O(d) each."""
+
+    def test_period_58198140_permutation(self):
+        a = cycle_permutation((4, 5, 7, 9, 11, 13, 17, 19))
+        t0 = time.perf_counter()
+        cyc, v = power_cycle(a), periodicity(a)
+        elapsed = time.perf_counter() - t0
+        assert a.dim == 85
+        assert (cyc.tail, cyc.period) == (1, 58_198_140)
+        assert v.to_json_dict() == {"periodicity": "periodic", "k": 58_198_140, "is_prerow": False}
+        assert elapsed < 0.05
+
+    def test_chain_into_a_fixed_point(self):
+        d = 100_000
+        a = Plm((1, *range(1, d)))  # j -> j - 1 down to the fixed point 1
+        t0 = time.perf_counter()
+        cyc, v = power_cycle(a), periodicity(a)
+        elapsed = time.perf_counter() - t0
+        assert (cyc.tail, cyc.period) == (d - 1, 1)
+        assert v.to_json_dict() == {"periodicity": "prerow", "e": 99_999, "m": 1, "is_prerow": True}
+        assert elapsed < 2.0
+
+    def test_seeded_random_map(self):
+        from sympy.combinatorics import Permutation
+
+        d = 100_000
+        rng = random.Random(100_000)
+        a = rand_plm(rng, d)
+        t0 = time.perf_counter()
+        cyc, v = power_cycle(a), periodicity(a)
+        elapsed = time.perf_counter() - t0
+        # Reference: the images f(V), f^2(V), ... shrink until f permutes
+        # them; the tail is the first exponent at which they stop shrinking,
+        # and the period is the order of that permutation.
+        cm = a.colmap
+        image, tail = set(cm), 1
+        while len(nxt := {cm[j - 1] for j in image}) < len(image):
+            image, tail = nxt, tail + 1
+        on_cycles = sorted(image)
+        index = {j: i for i, j in enumerate(on_cycles)}
+        perm = Permutation([index[cm[j - 1]] for j in on_cycles])
+        assert (cyc.tail, cyc.period) == (tail, perm.order())
+        assert v.to_json_dict() == {
+            "periodicity": "eventually_periodic",
+            "s": tail,
+            "t": perm.order(),
+            "is_prerow": False,
+        }
+        assert power(a, cyc.tail + cyc.period) == power(a, cyc.tail)
+        assert elapsed < 2.0
+
+
 class TestCharPoly:
     @pytest.mark.parametrize(
         "colmap,coeffs",
@@ -352,6 +408,16 @@ class TestEigenCheck:
             eigen_check(identity(2), tol=0.0)
         with pytest.raises(ValueError):
             eigen_check(identity(2), tol=-1e-9)
+
+    @pytest.mark.parametrize("tol", [True, "1e-9", None, 1j])
+    def test_rejects_bool_and_non_real_tolerance(self, tol):
+        # True ran as a tolerance of 1, and "1e-9" raised TypeError in `<=`
+        with pytest.raises(ValueError, match=f"^tolerance must be a real number, not {tol!r}$"):
+            eigen_check(identity(2), tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), Fraction(1, 10**9), 1])
+    def test_accepts_real_tolerance(self, tol):
+        assert eigen_check(Plm((2, 1)), tol).period == 2
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_rejects_non_finite_tolerance(self, tol):

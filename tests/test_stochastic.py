@@ -273,6 +273,31 @@ class TestConvexCombine:
         with pytest.raises(DimensionMismatchError):
             convex_combine([(F(1, 2), identity(2)), (F(1, 2), identity(3))])
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(True, identity(2))],
+            [(0.5, identity(2)), (0.5, Plm((2, 1)))],
+            [(0.1, identity(2)), (0.9, Plm((2, 1)))],
+            [(1.0, identity(2))],
+        ],
+    )
+    def test_refuses_inexact_weights_as_decomposition_does(self, terms):
+        # True combined to I, [(0.5, a), (0.5, b)] passed, and 0.1 + 0.9
+        # failed only as a binary weight sum
+        weight = terms[0][0]
+        message = rf"^weight {weight!r} of term 1 is not an int, Fraction or str$"
+        with pytest.raises(ValueError, match=message):
+            convex_combine(terms)
+        with pytest.raises(ValueError, match=message):
+            Decomposition(tuple(terms))
+
+    def test_exact_weight_types(self):
+        m = convex_combine(iter([(1, identity(2)), ("0", Plm((2, 1)))]))
+        assert m == StochasticMatrix.from_plm(identity(2))
+        m = convex_combine([("1/2", identity(2)), (F(1, 2), Plm((2, 1)))])
+        assert m.entries == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+
 
 class TestDecompositionType:
     def test_validation(self):

@@ -355,6 +355,11 @@ def test_decompose_sweep_rejects_negative_case_count():
         pytest.param(lambda: sweep_decompose(2, n_cases=True), "n_cases", id="n_cases-bool"),
         pytest.param(lambda: sweep_decompose(2, n_cases=5.0), "n_cases", id="n_cases-float"),
         pytest.param(lambda: random_left_stochastic(True, 0), "d", id="random_left_stochastic"),
+        # the report carries the seed: 0.5 was written as "seed": 0.5, True as true
+        pytest.param(lambda: sweep_decompose(3, 2, seed=0.5), "seed", id="seed-float"),
+        pytest.param(lambda: sweep_decompose(3, 2, seed=True), "seed", id="seed-bool"),
+        pytest.param(lambda: random_left_stochastic(3, 0.5), "seed", id="random-seed-float"),
+        pytest.param(lambda: random_left_stochastic(3, True), "seed", id="random-seed-bool"),
         pytest.param(
             lambda: random_left_stochastic(2, 0, max_denominator=10.0),
             "max_denominator",
