@@ -121,7 +121,8 @@ def power(a: Plm, k: int) -> Plm:
     _require_ints(k=k)
     if k < 0:
         raise ValueError("PLMs are not invertible in general; exponent must be >= 0")
-    result, base = _plm_trusted(tuple(range(1, a.dim + 1))), a
+    result = _plm_trusted(tuple(range(1, a.dim + 1)))
+    base = a
     while k:
         if k & 1:
             result = multiply(result, base)
@@ -130,11 +131,12 @@ def power(a: Plm, k: int) -> Plm:
     return result
 
 
-def _graph(cm) -> tuple[int, list[tuple[int, int]]]:
+def _graph(cm) -> tuple[int, int, int | None]:
     # A's functional graph j -> cm[j - 1], peeled of its in-degree-0 nodes
-    # round by round (Kahn's order).  Returns the number of rounds, which is
-    # the longest path from a node into a cycle, and the cycles left as
-    # (length, least node) pairs in order of that node.  O(d).
+    # round by round (Kahn's order).  The number of rounds is the longest path
+    # from a node into a cycle.  Returns that, at least 1, the lcm of the
+    # lengths of the cycles left, and the node of the one cycle when it is a
+    # lone fixed point, else None.  O(d).
     indeg = [0] * (len(cm) + 1)
     for r in cm:
         indeg[r] += 1
@@ -145,15 +147,16 @@ def _graph(cm) -> tuple[int, list[tuple[int, int]]]:
         for j in layer:
             indeg[cm[j - 1]] -= 1
         layer = [r for r in {cm[j - 1] for j in layer} if not indeg[r]]
-    cycles = []
+    lengths, m = [], None
     for j in range(1, len(cm) + 1):
         n, r = 0, j
         while indeg[r]:  # 1 on a cycle not yet walked, else 0
             indeg[r] = 0
             r, n = cm[r - 1], n + 1
         if n:
-            cycles.append((n, j))
-    return height, cycles
+            lengths.append(n)
+            m = j
+    return max(1, height), math.lcm(*lengths), m if lengths == [1] else None
 
 
 def power_cycle(a: Plm) -> PowerCycle:
@@ -164,8 +167,7 @@ def power_cycle(a: Plm) -> PowerCycle:
     the tail is the longest path into a cycle, at least 1, and the period the
     lcm of the cycle lengths.  One O(d) pass, whatever the period.
     """
-    height, cycles = _graph(a.colmap)
-    return PowerCycle(tail=max(1, height), period=math.lcm(*[n for n, _ in cycles]))
+    return PowerCycle(*_graph(a.colmap)[:2])
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
@@ -176,13 +178,11 @@ def periodicity(a: Plm) -> PeriodicityVerdict:
     node's distance to m.  Then A is pre-row with e = s and that m, and with
     s = 1 the same test gives ``is_prerow``.
     """
-    height, cycles = _graph(a.colmap)
-    s, t = max(1, height), math.lcm(*[n for n, _ in cycles])
-    is_prerow = len(cycles) == 1 and cycles[0][0] == 1
+    s, t, m = _graph(a.colmap)
     if s == 1:
-        return PeriodicityVerdict.periodic(k=t, is_prerow=is_prerow)
-    if is_prerow:
-        return PeriodicityVerdict.prerow(e=s, m=cycles[0][1])
+        return PeriodicityVerdict.periodic(k=t, is_prerow=m is not None)
+    if m is not None:
+        return PeriodicityVerdict.prerow(e=s, m=m)
     return PeriodicityVerdict.eventually_periodic(s=s, t=t)
 
 
@@ -215,7 +215,9 @@ def char_poly(a: Plm) -> CharPoly:
 
 def one_norm(a: Plm) -> int:
     """Maximum column sum of the dense form.  Always 1 for a PLM."""
-    return max(map(sum, zip(*to_dense(a).entries)))
+    dense = to_dense(a).entries
+    d = a.dim
+    return max(sum(dense[i][j] for i in range(d)) for j in range(d))
 
 
 # --- polynomial helpers over Z, coefficients leading-first ---
