@@ -16,11 +16,13 @@ Repeated eigenvalues (any PLM with two disjoint cycles in its column-map graph
 has eigenvalue 1 at least twice; the identity has it d times) defeat a naive
 companion-matrix root finder: a multiplicity-m root is only found to within
 roughly machine-epsilon^(1/m), which for (x-1)^5 is about 1e-3.  To honor a
-1e-9 tolerance the characteristic polynomial is first split into square-free
-factors by Yun's algorithm; each factor has simple roots and those are found
-to near machine precision.  The polynomial is monic in Z[x], so by Gauss's
-lemma Yun's algorithm runs in exact integer arithmetic: its gcds are primitive
-pseudo-remainder sequences and its divisions are by monic divisors.
+1e-9 tolerance the characteristic polynomial is split into square-free factors,
+whose simple roots are found to near machine precision.  The graph pass gives
+them: cycles of lengths l on c nodes make it x^(d-c) times each x^l - 1, so
+the cyclotomic Phi_n has multiplicity #{l : n | l} and x has d - c.  Before
+any root is found, the trace-recursion polynomial must divide exactly by them
+in Z[x] with quotient 1.  That proves, without floats, that the spectrum is 0
+and roots of unity, and keeps the numeric roots those of the trace recursion.
 """
 
 from __future__ import annotations
@@ -131,12 +133,12 @@ def power(a: Plm, k: int) -> Plm:
     return result
 
 
-def _graph(cm) -> tuple[int, int, int | None]:
+def _graph(cm) -> tuple[int, list[int], int | None]:
     # A's functional graph j -> cm[j - 1], peeled of its in-degree-0 nodes
     # round by round (Kahn's order).  The number of rounds is the longest path
-    # from a node into a cycle.  Returns that, at least 1, the lcm of the
-    # lengths of the cycles left, and the node of the one cycle when it is a
-    # lone fixed point, else None.  O(d).
+    # from a node into a cycle.  Returns that, at least 1, the lengths of the
+    # cycles left, and the node of the one cycle when it is a lone fixed
+    # point, else None.  O(d).
     indeg = [0] * (len(cm) + 1)
     for r in cm:
         indeg[r] += 1
@@ -156,7 +158,7 @@ def _graph(cm) -> tuple[int, int, int | None]:
         if n:
             lengths.append(n)
             m = j
-    return max(1, height), math.lcm(*lengths), m if lengths == [1] else None
+    return max(1, height), lengths, m if lengths == [1] else None
 
 
 def power_cycle(a: Plm) -> PowerCycle:
@@ -167,7 +169,8 @@ def power_cycle(a: Plm) -> PowerCycle:
     the tail is the longest path into a cycle, at least 1, and the period the
     lcm of the cycle lengths.  One O(d) pass, whatever the period.
     """
-    return PowerCycle(*_graph(a.colmap)[:2])
+    tail, lengths, _ = _graph(a.colmap)
+    return PowerCycle(tail, math.lcm(*lengths))
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
@@ -178,7 +181,8 @@ def periodicity(a: Plm) -> PeriodicityVerdict:
     node's distance to m.  Then A is pre-row with e = s and that m, and with
     s = 1 the same test gives ``is_prerow``.
     """
-    s, t, m = _graph(a.colmap)
+    s, lengths, m = _graph(a.colmap)
+    t = math.lcm(*lengths)
     if s == 1:
         return PeriodicityVerdict.periodic(k=t, is_prerow=m is not None)
     if m is not None:
@@ -222,60 +226,12 @@ def one_norm(a: Plm) -> int:
 
 # --- polynomial helpers over Z, coefficients leading-first ---
 
-def _trim(p: list[int]) -> list[int]:
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _deriv(p: list[int]) -> list[int]:
-    n = len(p) - 1
-    return _trim([p[i] * (n - i) for i in range(n)])
-
-
-def _sub(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    p = [0] * (n - len(p)) + p
-    q = [0] * (n - len(q)) + q
-    return _trim([x - y for x, y in zip(p, q)])
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by its content, with a positive leading coefficient."""
-    if not p:
-        return p
-    g = math.gcd(*p)
-    if p[0] < 0:
-        g = -g
-    return [c // g for c in p]
-
-
-def _prem(p: list[int], q: list[int]) -> list[int]:
-    """A pseudo-remainder of p by q: ``lc(q)^k p mod q`` for some k >= 0."""
-    lead, n = q[0], len(q)
-    r = p
-    while len(r) >= n:
-        f = r[0]
-        r = _trim(
-            [lead * x - f * y for x, y in zip(r[1:n], q[1:])] + [lead * x for x in r[n:]]
-        )
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    r = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            r[i + j] += x * y
     return r
-
-
-def _gcd(p: list[int], q: list[int]) -> list[int]:
-    """Monic gcd of a monic p and any q in Z[x].
-
-    Euclid's algorithm as a primitive pseudo-remainder sequence (Knuth, TAOCP
-    vol. 2, 4.6.1).  The primitive gcd divides p in Z[x] by Gauss's lemma, so
-    its leading coefficient divides 1.
-    """
-    p, q = _primitive(p), _primitive(q)
-    while q:
-        p, q = q, _primitive(_prem(p, q))
-    if p[0] != 1:
-        raise AssertionError(f"gcd of a monic polynomial has leading coefficient {p[0]}")
-    return p
 
 
 def _div_monic(p: list[int], q: list[int]) -> list[int]:
@@ -292,36 +248,51 @@ def _div_monic(p: list[int], q: list[int]) -> list[int]:
     return r[:k]
 
 
-def _squarefree_factors(coeffs: tuple[int, ...]) -> list[tuple[list[int], int]]:
-    """Yun's square-free decomposition of a monic polynomial in Z[x].
+def _squarefree_factors(d: int, lengths: list[int]) -> list[tuple[list[int], int]]:
+    """Square-free factors of x^(d-c) (x^l_1 - 1) ... (x^l_k - 1), c = sum of l.
 
-    Returns (factor, multiplicity) pairs with each factor monic, integral and
-    square-free; the product of factor^multiplicity is the input.
+    Phi_n, built as (x^n - 1) over Phi_k for each proper divisor k of n, has
+    multiplicity #{l : n | l}, and x has d - c.  Returns (product of the
+    factors of one multiplicity, that multiplicity) pairs in increasing
+    multiplicity, as Yun's square-free decomposition orders them.
     """
-    f = list(coeffs)
-    if len(f) <= 1:
-        return []
-    fp = _deriv(f)
-    a0 = _gcd(f, fp)
-    b = _div_monic(f, a0)
-    c = _div_monic(fp, a0)
-    d = _sub(c, _deriv(b))
-    out: list[tuple[list[int], int]] = []
-    i = 1
-    while len(b) > 1:
-        ai = _gcd(b, d)
-        if len(ai) > 1:
-            out.append((ai, i))
-        b = _div_monic(b, ai)
-        c = _div_monic(d, ai)
-        d = _sub(c, _deriv(b))
-        i += 1
-    return out
+    phi: dict[int, list[int]] = {}
+    for n in range(1, max(lengths) + 1):
+        if any(l % n == 0 for l in lengths):
+            # Every divisor of n divides that l too, so it is built already.
+            p = [1] + [0] * (n - 1) + [-1]
+            for k, q in phi.items():
+                if n % k == 0:
+                    p = _div_monic(p, q)
+            phi[n] = p
+    groups = {d - sum(lengths): [1, 0]} if d > sum(lengths) else {}
+    for n, p in phi.items():
+        mult = sum(l % n == 0 for l in lengths)
+        groups[mult] = _mul(groups.get(mult, [1]), p)
+    return [(groups[m], m) for m in sorted(groups)]
 
 
-def _roots_with_multiplicity(cp: CharPoly) -> list[complex]:
+def _certify(coeffs: tuple[int, ...], factors: list[tuple[list[int], int]]) -> None:
+    """Raise :class:`RootFindingError` unless coeffs is exactly the product of
+    factor^multiplicity: each division in Z[x] must leave no remainder, and
+    the quotient at the end must be 1."""
+    rest = list(coeffs)
+    try:
+        for factor, mult in factors:
+            for _ in range(mult):
+                rest = _div_monic(rest, factor)
+    except AssertionError:
+        rest = None
+    if rest != [1]:
+        raise RootFindingError(
+            "exact certificate failed: the characteristic polynomial is not the "
+            "product of the cycle lengths' square-free factors"
+        )
+
+
+def _roots_with_multiplicity(cp: CharPoly, factors: list[tuple[list[int], int]]) -> list[complex]:
     roots: list[complex] = []
-    for factor, mult in _squarefree_factors(cp.coefficients):
+    for factor, mult in factors:
         if len(factor) == 2:
             # x + c has the root -c exactly, the float np.roots returns for it.
             found = [float(-factor[1])]
@@ -371,21 +342,26 @@ def check_tol(tol: float, name: str = "tolerance") -> None:
 def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     """Exact eigenvalue verdicts with a numeric cross-check.
 
-    ``roots_of_unity_ok`` re-verifies the matrix identity A^(s+t) == A^s; the
-    numeric side then confirms every characteristic root is within ``tol`` of
-    zero or of a t-th root of unity, raising :class:`RootFindingError` if the
-    computed roots ever disagree with that exact guarantee.
+    One graph pass gives s, t and the cycle lengths; ``roots_of_unity_ok``
+    re-verifies A^(s+t) == A^s by repeated squaring.  The factors read off
+    the lengths must divide the trace-recursion polynomial exactly, and the
+    numeric side then confirms every root is within ``tol`` of zero or of a
+    t-th root of unity.  :class:`RootFindingError` is raised if the exact
+    certificate fails or the computed roots disagree with it.
     """
     check_tol(tol)
-    cyc = power_cycle(a)
-    exact_ok = power(a, cyc.tail + cyc.period) == power(a, cyc.tail)
+    tail, lengths, _ = _graph(a.colmap)
+    period = math.lcm(*lengths)
+    exact_ok = power(a, tail + period) == power(a, tail)
     cp = char_poly(a)
+    factors = _squarefree_factors(a.dim, lengths)
+    _certify(cp.coefficients, factors)
     has_zero = cp.coefficients[-1] == 0
     try:
-        roots = _roots_with_multiplicity(cp)
+        roots = _roots_with_multiplicity(cp, factors)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"numeric root finding failed: {exc}") from exc
-    dev = max_unity_deviation(roots, cyc.period, tol)
+    dev = max_unity_deviation(roots, period, tol)
     if dev > tol:
         raise RootFindingError(
             f"some root sits {dev:.3e} away from the allowed spectrum", deviation=dev
@@ -394,7 +370,7 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     return EigenReport(
         has_zero=has_zero,
         roots_of_unity_ok=exact_ok,
-        period=cyc.period,
+        period=period,
         numeric_eigenvalues=tuple(roots),
         spectral_radius_numeric=radius,
     )

@@ -43,6 +43,20 @@ from .errors import (
 _EXACT_TYPES = (int, Fraction, str)
 
 
+def _exact(x, name: str, *where) -> Fraction:
+    # x as a Fraction, for an entry or a weight.  Raises ValueError, naming x
+    # by ``name.format(x, *where)``, unless x is of the exact types and, for a
+    # string, Fraction() parses it to a finite value ("1/0" does not).
+    if type(x) in _EXACT_TYPES:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            problem = "is not a valid fraction"
+    else:
+        problem = "is not an int, Fraction or str"
+    raise ValueError(f"{name.format(x, *where)} {problem}")
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Square matrix of nonnegative exact rationals (rows of columns of them).
@@ -67,11 +81,7 @@ class StochasticMatrix:
                 raise ValueError(f"not square: {d} rows but row {i} has {len(row)} entries")
             entries = []
             for j, x in enumerate(row, start=1):
-                if type(x) not in _EXACT_TYPES:
-                    raise ValueError(
-                        f"entry {x!r} at row {i}, column {j} is not an int, Fraction or str"
-                    )
-                x = Fraction(x)
+                x = _exact(x, "entry {!r} at row {}, column {}", i, j)
                 if x < 0:
                     raise NotLeftStochasticError(
                         f"negative entry {x} at row {i}, column {j}", column=j
@@ -141,9 +151,7 @@ def _exact_terms(terms) -> tuple[tuple[Fraction, Plm], ...]:
     # the exact types StochasticMatrix takes for its entries.
     out = []
     for n, (lam, p) in enumerate(terms, start=1):
-        if type(lam) not in _EXACT_TYPES:
-            raise ValueError(f"weight {lam!r} of term {n} is not an int, Fraction or str")
-        out.append((Fraction(lam), p))
+        out.append((_exact(lam, "weight {!r} of term {}", n), p))
     return tuple(out)
 
 

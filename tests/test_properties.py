@@ -1,10 +1,11 @@
 """Property tests on random PLMs: the three multiplication routes, associativity,
 the documented contracts of classify and canonicalize, the periodicity verdict
 against a scan of the powers, the power cycle against a dict of every power,
-and the characteristic polynomial against sympy; on random products of
-cyclotomic and linear polynomials: the integer square-free factorization
-against sympy; on hostile left stochastic matrices: the integer greedy
-decomposition against a Fraction reference, and the verifier on its output;
+the characteristic polynomial against sympy, and the square-free factors read
+off the cycle lengths against sympy's factors of the characteristic
+polynomial, also on maps drawn by cycle type; on hostile left stochastic
+matrices: the integer greedy decomposition against a Fraction reference, and
+the verifier on its output;
 and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, its plain-row scan against the comprehension
 it bypasses, plus the text and JSON round trips.
@@ -55,7 +56,7 @@ from plmonoid.formats import (
     plm_to_text,
     stochastic_to_text,
 )
-from plmonoid.spectral import _squarefree_factors
+from plmonoid.spectral import _graph, _squarefree_factors
 from plmonoid.verify import oracle_multiply
 
 MAX_D = 12
@@ -256,28 +257,26 @@ def test_power_cycle_matches_dict_walk(a):
     assert (cyc.tail, cyc.period) == dict_walk(a)
 
 
-def cyclotomic_and_linear_products():
-    """Products of cyclotomic polynomials Phi_n (n <= 30) and linear factors
-    x - k, each raised to a multiplicity; equal factors may repeat, and
-    Phi_1 = x - 1 and Phi_2 = x + 1 meet the linear ones."""
-    base = st.one_of(
-        st.integers(1, 30).map(lambda n: ("cyclotomic", n)),
-        st.integers(-4, 4).map(lambda k: ("linear", k)),
-    )
-    return st.lists(st.tuples(base, st.integers(1, 4)), min_size=1, max_size=5)
+@st.composite
+def cycle_typed(draw):
+    """A map of dimension <= MAX_D with drawn cycle lengths: disjoint cycles
+    first, then nodes that each point to an earlier node, so off the cycles."""
+    d = draw(st.integers(1, MAX_D))
+    cm = []
+    while len(cm) < d and (not cm or draw(st.booleans())):
+        n, start = draw(st.integers(1, d - len(cm))), len(cm) + 1
+        cm += [start + (i + 1) % n for i in range(n)]
+    while len(cm) < d:
+        cm.append(draw(st.integers(1, len(cm))))
+    return Plm(tuple(cm))
 
 
 @SPECTRAL_SETTINGS
-@given(cyclotomic_and_linear_products())
-def test_squarefree_factors_match_sympy(parts):
+@given(st.one_of(plms(), cycle_typed()))
+def test_squarefree_factors_match_sympy(a):
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    f = sympy.Poly(1, x)
-    for (kind, n), mult in parts:
-        factor = sympy.cyclotomic_poly(n, x) if kind == "cyclotomic" else x - n
-        f *= sympy.Poly(factor, x) ** mult
-    _, expected = sympy.sqf_list(f)
-    factors = _squarefree_factors(tuple(int(c) for c in f.all_coeffs()))
+    _, expected = sympy.sqf_list(sympy.Poly(char_poly(a).coefficients, sympy.Symbol("x")))
+    factors = _squarefree_factors(a.dim, _graph(a.colmap)[1])
     assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
 
 

@@ -25,7 +25,13 @@ from plmonoid import (
     to_dense,
 )
 from plmonoid import spectral
-from plmonoid.spectral import _div_monic, _gcd, _roots_with_multiplicity, _squarefree_factors
+from plmonoid.spectral import (
+    _certify,
+    _div_monic,
+    _graph,
+    _roots_with_multiplicity,
+    _squarefree_factors,
+)
 from plmonoid.verify import enumerate_plms
 
 sympy = pytest.importorskip("sympy")
@@ -315,25 +321,55 @@ class TestCharPoly:
                 assert (char_poly(a).coefficients[-1] == 0) == singular
 
 
+def sqf_list(coeffs):
+    """sympy's square-free factors of a polynomial, as (int coefficients,
+    multiplicity) pairs: the reference for the factors read off the graph."""
+    _, factors = sympy.sqf_list(sympy.Poly(coeffs, sympy.Symbol("x")))
+    return [([int(c) for c in g.all_coeffs()], m) for g, m in factors]
+
+
 class TestSquarefreeFactors:
     def test_matches_sympy_on_every_char_poly_d_le_6(self):
-        x = sympy.Symbol("x")
-        polys = {char_poly(a).coefficients for d in range(1, 7) for a in enumerate_plms(d)}
-        for coeffs in polys:
-            _, expected = sympy.sqf_list(sympy.Poly(coeffs, x))
-            factors = _squarefree_factors(coeffs)
-            assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
+        seen = {
+            (char_poly(a).coefficients, d, tuple(sorted(_graph(a.colmap)[1])))
+            for d in range(1, 7)
+            for a in enumerate_plms(d)
+        }
+        for coeffs, d, lengths in seen:
+            factors = _squarefree_factors(d, list(lengths))
+            assert factors == sqf_list(coeffs)
             assert all(type(c) is int for f, _ in factors for c in f)
+            _certify(coeffs, factors)
+
+    @pytest.mark.parametrize(
+        "cycles",
+        [
+            (5, 7, 8, 9, 11),
+            (3, 4, 5, 7, 11, 13, 17),
+            (4, 5, 7, 9, 11, 13, 17, 19),
+            (3, 4, 5, 7, 11, 13, 17, 19, 21),
+        ],
+    )
+    def test_certificate_holds_on_high_lcm_permutations(self, cycles):
+        # d = 40, 60, 85 and 100, conjugated by a seeded relabelling
+        d = sum(cycles)
+        rng = random.Random(d)
+        pi = list(range(1, d + 1))
+        rng.shuffle(pi)
+        cm = cycle_permutation(cycles).colmap
+        inv = {p: i for i, p in enumerate(pi, start=1)}
+        a = Plm(tuple(pi[cm[inv[j] - 1] - 1] for j in range(1, d + 1)))
+        _, lengths, _ = _graph(a.colmap)
+        assert sorted(lengths) == sorted(cycles)
+        coeffs = char_poly(a).coefficients
+        factors = _squarefree_factors(d, lengths)
+        _certify(coeffs, factors)
+        assert factors == sqf_list(coeffs)
 
     def test_inexact_division_is_caught(self):
         # x^2 + 1 = (x - 1)(x + 1) + 2
         with pytest.raises(AssertionError):
             _div_monic([1, 0, 1], [1, -1])
-
-    def test_non_monic_gcd_is_caught(self):
-        # 2x + 1 is primitive but cannot divide a monic polynomial in Z[x]
-        with pytest.raises(AssertionError):
-            _gcd([2, 1], [])
 
 
 def test_one_norm_is_always_one():
@@ -440,14 +476,28 @@ class TestEigenCheck:
 def test_inconsistent_charpoly_is_caught():
     # a degree field that disagrees with the coefficients must not pass silently
     with pytest.raises(RootFindingError):
-        _roots_with_multiplicity(CharPoly(degree=3, coefficients=(1, 0, -1)))
+        _roots_with_multiplicity(CharPoly(degree=3, coefficients=(1, 0, -1)), [([1, 0, -1], 1)])
 
 
-def all_np_roots(cp):
-    """The roots as found before linear factors were read off: np.roots on
-    every square-free factor."""
+@pytest.mark.parametrize("colmap", [(2, 1), (2, 3, 1, 5, 4, 6), (2, 3, 3, 1, 4), (1, 1, 2, 5, 4)])
+def test_wrong_charpoly_coefficient_fails_the_certificate(monkeypatch, colmap):
+    # The numeric roots come from the factors read off the graph, so without
+    # the exact division by them a wrong trace-recursion polynomial would pass.
+    a = Plm(colmap)
+    coeffs = char_poly(a).coefficients
+    for i in range(len(coeffs)):
+        wrong = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
+        monkeypatch.setattr(spectral, "char_poly", lambda _, w=wrong: CharPoly(len(colmap), w))
+        with pytest.raises(RootFindingError, match="^exact certificate failed"):
+            eigen_check(a)
+
+
+def all_np_roots(cp, factors):
+    """The roots as found before linear factors were read off and before the
+    factors came from the graph: np.roots on every square-free factor of the
+    characteristic polynomial, which sympy finds from its coefficients."""
     roots = []
-    for factor, mult in _squarefree_factors(cp.coefficients):
+    for factor, mult in sqf_list(cp.coefficients):
         for z in np.roots([float(c) for c in factor]):
             roots.extend([complex(z)] * mult)
     roots.sort(key=lambda z: (z.real, z.imag))

@@ -56,6 +56,14 @@ class TestStochasticMatrix:
         with pytest.raises(ValueError, match=message):
             StochasticMatrix(((F(1), F(1)), (bad, F(0))))
 
+    @pytest.mark.parametrize("bad", ["1/0", "-3/0", "x", "", "nan", "1/2/3"])
+    def test_rejects_strings_that_are_not_fractions(self, bad):
+        # "1/0" escaped as ZeroDivisionError, the others as ValueError
+        # without the entry's place
+        message = rf"^entry {bad!r} at row 2, column 1 is not a valid fraction$"
+        with pytest.raises(ValueError, match=message):
+            StochasticMatrix(((F(1), F(1)), (bad, F(0))))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(NotLeftStochasticError) as err:
             StochasticMatrix(((F(-1, 2), F(1)), (F(3, 2), F(0))))
@@ -287,6 +295,16 @@ class TestConvexCombine:
         # failed only as a binary weight sum
         weight = terms[0][0]
         message = rf"^weight {weight!r} of term 1 is not an int, Fraction or str$"
+        with pytest.raises(ValueError, match=message):
+            convex_combine(terms)
+        with pytest.raises(ValueError, match=message):
+            Decomposition(tuple(terms))
+
+    @pytest.mark.parametrize("bad", ["1/0", "x"])
+    def test_refuses_weight_strings_that_are_not_fractions(self, bad):
+        # "1/0" escaped as ZeroDivisionError
+        terms = [(F(1, 2), Plm((2, 1))), (bad, identity(2))]
+        message = rf"^weight {bad!r} of term 2 is not a valid fraction$"
         with pytest.raises(ValueError, match=message):
             convex_combine(terms)
         with pytest.raises(ValueError, match=message):
