@@ -44,8 +44,11 @@ class WeightSumNotOneError(PlmError):
 
 
 class RootFindingError(PlmError):
-    """The numeric eigenvalue cross-check failed or could not be carried out.
+    """The eigenvalue cross-check failed or could not be carried out.
 
+    Either the exact certificate failed (the trace-recursion characteristic
+    polynomial does not divide exactly into the square-free factors read off
+    the cycle lengths) or the numeric roots strayed from the allowed spectrum.
     Exact verdicts (periodicity, characteristic polynomial) are unaffected.
     """
 
