@@ -7,13 +7,16 @@ integers, or as decimals; decimals parse exactly (0.1 means 1/10).  Writers
 emit the dense form.
 
 The dense PLM reader and writer work on the column map, never on a d x d grid
-of ints.  A row as the writer writes it, d characters ``0`` or ``1`` between
-single spaces, is checked and has its ones found by C-level ``str`` methods,
-in O(ones) Python steps and without splitting it.  Any other row is split once
-and its tokens other than ``"0"`` go to ``int``; any token ``int`` accepts
-reads as that integer (``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1``
-are ones, ``1_0`` is ten).  The column check is the one ``from_dense`` uses.
-The writer sets one ``"1"`` per column in rows of ``"0"``.
+of ints.  Text exactly as the writer writes it, ``f"{d}\n"`` and then d rows of
+d characters ``0`` or ``1`` between single spaces, each ending in ``\n``, is
+checked as one block by C-level ``str`` slices and counts, and its ones are
+found with ``str.find``, in O(ones) Python steps with no split.  Any other text
+is split into stripped lines, each row once into tokens, and its tokens other
+than ``"0"`` go to ``int``; any token ``int`` accepts reads as that integer
+(``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are ones, ``1_0`` is
+ten).  Both paths end in the column check ``from_dense`` uses.  The writer
+fills one buffer with ``0`` cells, sets one ``1`` per column and decodes it
+once.
 """
 
 from __future__ import annotations
@@ -46,61 +49,87 @@ def _parse_dim(path, lines):
     return d, lines[1:]
 
 
-def _plain_row(line: str, d: int) -> list[tuple[int, int]] | None:
-    """The ``(column, 1)`` pairs of a row written as ``plm_to_text`` writes
-    it, d characters ``0`` or ``1`` between single spaces; None for any other
-    row.  C-level ``str`` methods check the row and find its ones, so the
-    Python steps are O(ones), not O(d)."""
-    if len(line) != 2 * d - 1 or line.count(" ") != d - 1:
+def _writer_form_nonzeros(text: str) -> tuple[int, list] | None:
+    """``(d, rows)`` for text exactly as ``plm_to_text`` writes it, with each
+    row the ``(column, 1)`` pairs of its ones; None for any other text.
+
+    C-level ``str`` methods check the body and find its ones in place: the
+    one copy is the d * d cells, so the Python steps are O(d + ones), not
+    O(d * d)."""
+    nl = text.find("\n")
+    # A header of more than nine digits would need a body of over 10**18
+    # characters; bounding it also keeps ``int`` off very long strings.
+    if not 0 < nl < 10:
         return None
-    cells = line[::2]
+    head = text[:nl]
+    if not (head.isascii() and head.isdigit()) or head[0] == "0":
+        return None
+    start = nl + 1
+    d = int(head)
+    step = 2 * d
+    if len(text) - start != step * d:
+        return None
+    cells = text[start::2]
     ones = cells.count("1")
-    if cells.count("0") + ones != d:
+    # Cells all 0/1, every row end a newline, and d * (d - 1) spaces: these
+    # leave the spaces no slot but the d * (d - 1) separators within rows.
+    if (
+        cells.count("0") + ones != d * d
+        or text[start + step - 1 :: step].count("\n") != d
+        or text.count(" ", start) != d * (d - 1)
+    ):
         return None
-    pairs = []
-    j = -1
+    rows = [[] for _ in range(d)]
+    k = -1
     for _ in range(ones):
-        j = cells.find("1", j + 1)
-        pairs.append((j, 1))
-    return pairs
+        k = cells.find("1", k + 1)
+        i, j = divmod(k, d)
+        rows[i].append((j, 1))
+    return d, rows
+
+
+def _parse_colmap_line(path, lines) -> Plm:
+    if len(lines) != 1:
+        raise MatrixParseError(path, lines[1][0], "extra content after column-map line")
+    n, line = lines[0]
+    head, _, tail = line.partition(":")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "plm" or not tail.strip():
+        raise MatrixParseError(path, n, f"malformed column-map line {line!r}")
+    try:
+        d = int(parts[1])
+        colmap = tuple(int(tok) for tok in tail.split())
+    except ValueError:
+        raise MatrixParseError(path, n, f"malformed column-map line {line!r}") from None
+    if d < 1:
+        raise MatrixParseError(path, n, f"dimension must be >= 1, got {d}")
+    if len(colmap) != d:
+        raise MatrixParseError(path, n, f"expected {d} entries, found {len(colmap)}")
+    try:
+        return Plm(colmap)
+    except ValueError as exc:
+        raise MatrixParseError(path, n, str(exc)) from None
 
 
 def parse_plm_text(text: str, path: str = "<input>") -> Plm:
     """Read a PLM from dense or column-map text."""
-    lines = _numbered_lines(text)
-    if lines and lines[0][1].startswith("plm"):
-        if len(lines) != 1:
-            raise MatrixParseError(path, lines[1][0], "extra content after column-map line")
-        n, line = lines[0]
-        head, _, tail = line.partition(":")
-        parts = head.split()
-        if len(parts) != 2 or not tail.strip():
-            raise MatrixParseError(path, n, f"malformed column-map line {line!r}")
-        try:
-            d = int(parts[1])
-            colmap = tuple(int(tok) for tok in tail.split())
-        except ValueError:
-            raise MatrixParseError(path, n, f"malformed column-map line {line!r}") from None
-        if len(colmap) != d:
-            raise MatrixParseError(path, n, f"expected {d} entries, found {len(colmap)}")
-        try:
-            return Plm(colmap)
-        except ValueError as exc:
-            raise MatrixParseError(path, n, str(exc)) from None
-
-    d, rows = _parse_dim(path, lines)
-    nonzeros = []
-    for n, line in rows:
-        pairs = _plain_row(line, d)
-        if pairs is None:
+    block = _writer_form_nonzeros(text)
+    if block is not None:
+        d, nonzeros = block
+    else:
+        lines = _numbered_lines(text)
+        if lines and lines[0][1].startswith("plm"):
+            return _parse_colmap_line(path, lines)
+        d, rows = _parse_dim(path, lines)
+        nonzeros = []
+        for n, line in rows:
             toks = line.split()
             try:
-                pairs = [(j, int(t)) for j, t in enumerate(toks) if t != "0"]
+                nonzeros.append([(j, int(t)) for j, t in enumerate(toks) if t != "0"])
             except ValueError:
                 raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
             if len(toks) != d:
                 raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
-        nonzeros.append(pairs)
     try:
         return _plm_of_nonzeros(d, nonzeros)
     except NotPlmError as exc:
@@ -109,10 +138,14 @@ def parse_plm_text(text: str, path: str = "<input>") -> Plm:
 
 def plm_to_text(a: Plm) -> str:
     d = a.dim
-    rows = [["0"] * d for _ in range(d)]
+    step = 2 * d
+    buf = bytearray(b"0 ") * (d * d)
+    buf[step - 1 :: step] = b"\n" * d
+    one = ord("1")
     for j, r in enumerate(a.colmap):
-        rows[r - 1][j] = "1"
-    return "\n".join([str(d)] + [" ".join(row) for row in rows]) + "\n"
+        buf[(r - 1) * step + 2 * j] = one
+    buf[:0] = b"%d\n" % d
+    return buf.decode("ascii")
 
 
 def plm_to_colmap_line(a: Plm) -> str:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plmonoid
-from plmonoid import Decomposition, Plm, RootFindingError, cli
+from plmonoid import Decomposition, Plm, RootFindingError, cli, multiply
 from plmonoid.cli import main
 from plmonoid.formats import dumps_report, plm_to_colmap_line, plm_to_text
 
@@ -110,12 +111,39 @@ class TestMul:
         assert code == 2
         assert "column 1" in err
 
+    def test_text_at_d_2000(self, run, tmp_path):
+        # two 8 MB dense files and an 8 MB product; about 0.05 s, 0.2 s when
+        # the reader and writer went row by row
+        rng = random.Random(2000)
+        a, b = (Plm(tuple(rng.randint(1, 2000) for _ in range(2000))) for _ in range(2))
+        (tmp_path / "a.txt").write_text(plm_to_text(a))
+        (tmp_path / "b.txt").write_text(plm_to_text(b))
+        t0 = time.perf_counter()
+        code, out, err = run("mul", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--text")
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        assert out == plm_to_text(multiply(a, b))
+        assert elapsed < 2.0
+
 
 class TestClassifyPeriodEigen:
     def test_classify(self, run, files):
         code, out, _ = run("classify", files["a.txt"])
         assert code == 0
         assert out == '{"class": "cplm", "leading": false}\n'
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("plmx 2: 1 2\n", "malformed column-map line 'plmx 2: 1 2'"),
+            ("plm 0: 1\n", "dimension must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_column_map_line_exit_2(self, run, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, err = run("classify", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}:1: {message}\n")
 
     def test_classify_identity_from_colmap_file(self, run, files):
         code, out, _ = run("classify", files["i.txt"])

@@ -1,6 +1,9 @@
-"""Text and JSON round trips, plus parse-error reporting with line numbers."""
+"""Text and JSON round trips, plus parse-error reporting with line numbers,
+and the dense reader and writer at large d."""
 
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -68,6 +71,10 @@ class TestParsePlm:
             ("plm: 1 2\n", 1, "malformed"),
             ("plm 2: 1 3\n", 1, "outside"),
             ("plm 2: 1 2\nextra\n", 2, "extra content"),
+            ("plmx 3: 1 2 3\n", 1, "malformed"),
+            ("plm3 3: 1 2 3\n", 1, "malformed"),
+            ("plm 0: 1\n", 1, "dimension must be >= 1, got 0"),
+            ("plm -2: 1\n", 1, "dimension must be >= 1, got -2"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line, fragment):
@@ -76,6 +83,18 @@ class TestParsePlm:
         assert err.value.line == line
         assert fragment in str(err.value)
         assert str(err.value).startswith("f.txt")
+
+    @pytest.mark.parametrize("line", ["plmx 3: 1 2 3", "plm3 3: 1 2 3"])
+    def test_column_map_prefix_must_be_the_token_plm(self, line):
+        with pytest.raises(MatrixParseError) as err:
+            parse_plm_text(f"\n{line}\n", path="f.txt")
+        assert str(err.value) == f"f.txt:2: malformed column-map line {line!r}"
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_column_map_dimension_below_one(self, d):
+        with pytest.raises(MatrixParseError) as err:
+            parse_plm_text(f"\n\nplm {d}: 1\n", path="f.txt")
+        assert str(err.value) == f"f.txt:3: dimension must be >= 1, got {d}"
 
     def test_dense_with_doubled_column_names_the_column(self):
         with pytest.raises(MatrixParseError) as err:
@@ -133,6 +152,39 @@ class TestDenseReaderErrorOrder:
         with pytest.raises(MatrixParseError) as err:
             parse_plm_text("2\n1.0 0\n0 1\n", path="f.txt")
         assert str(err.value) == "f.txt:2: non-integer entry in '1.0 0'"
+
+
+class TestLargeDense:
+    """At d = 2000 the dense text is 8 MB.  The writer holds one buffer and
+    the text it decodes; the reader copies the cells once, not the rows."""
+
+    D = 2000
+
+    @pytest.fixture(scope="class")
+    def plm(self):
+        rng = random.Random(2000)
+        return Plm(tuple(rng.randint(1, self.D) for _ in range(self.D)))
+
+    @staticmethod
+    def peak_bytes(f, *args):
+        tracemalloc.start()
+        try:
+            value = f(*args)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_peak_and_round_trip(self, plm):
+        text, peak = self.peak_bytes(plm_to_text, plm)
+        assert len(text) == len(f"{self.D}\n") + 2 * self.D * self.D
+        assert peak < 20_000_000
+        assert parse_plm_text(text) == plm
+
+    def test_reader_peak(self, plm):
+        text = plm_to_text(plm)
+        read, peak = self.peak_bytes(parse_plm_text, text)
+        assert read == plm
+        assert peak < 10_000_000
 
 
 class TestParseStochastic:

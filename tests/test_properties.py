@@ -7,8 +7,9 @@ polynomial, also on maps drawn by cycle type; on hostile left stochastic
 matrices: the integer greedy decomposition against a Fraction reference, and
 the verifier on its output;
 and on token grids: the dense text reader and ``from_dense`` against the
-int-grid path they replaced, its plain-row scan against the comprehension
-it bypasses, plus the text and JSON round trips.
+int-grid path they replaced, its block scan of writer-form text against the
+comprehension it bypasses and, on edited writer-form texts, against the
+split path, plus the text and JSON round trips.
 
 They complement the exhaustive sweeps (every pair up to d = 4) with random
 operands up to d = 12, operands up to d = 40 built to peel the structural
@@ -47,7 +48,9 @@ from plmonoid import (
 )
 from plmonoid import core
 from plmonoid.formats import (
-    _plain_row,
+    _numbered_lines,
+    _parse_dim,
+    _writer_form_nonzeros,
     decomposition_from_json_dict,
     dumps_compact,
     parse_plm_text,
@@ -526,9 +529,9 @@ def test_dense_reader_matches_the_int_grid_path(grid):
     )
 
 
-# Tokens and separators of a drawn row: a row of single "0" and "1" tokens
-# between single spaces takes the reader's plain-row scan, any other row the
-# token-by-token comprehension.
+# Tokens and separators of a drawn row: text whose rows are all d single "0"
+# and "1" tokens between single spaces takes the reader's block scan, any
+# other text the token-by-token comprehension.
 ROW_TOKENS = ("0", "1", "00", "01", "+1", "2", "-1", "٠", "1_0", "x")
 ROW_SEPARATORS = (" ", " ", " ", "  ", "\t")
 
@@ -537,7 +540,8 @@ def token_rows(d):
     """d rows of about d tokens each, joined by separators from
     ``ROW_SEPARATORS``: some of only "0" and "1", some of those with one
     token from ``ROW_TOKENS`` (so a row can be as long as a plain one, as
-    ``0 1_0`` is at d = 3), and some from ``ROW_TOKENS`` alone."""
+    ``0 1_0`` is at d = 3), and some from ``ROW_TOKENS`` alone; or d plain
+    rows, as the writer writes them."""
     length = {"min_size": max(1, d - 1), "max_size": d + 1}
     plain = st.lists(st.sampled_from(("0", "1")), **length)
 
@@ -551,7 +555,11 @@ def token_rows(d):
         st.tuples(plain, st.integers(0, d), st.sampled_from(ROW_TOKENS)).map(one_replaced),
         st.lists(st.sampled_from(ROW_TOKENS), **length),
     )
-    return st.lists(st.tuples(st.sampled_from(ROW_SEPARATORS), toks), min_size=d, max_size=d)
+    writer_row = st.tuples(st.just(" "), st.lists(st.sampled_from(("0", "1")), min_size=d, max_size=d))
+    return st.one_of(
+        st.lists(st.tuples(st.sampled_from(ROW_SEPARATORS), toks), min_size=d, max_size=d),
+        st.lists(writer_row, min_size=d, max_size=d),
+    )
 
 
 def comprehension_scan(toks):
@@ -562,19 +570,86 @@ def comprehension_scan(toks):
 
 @TEXT_SETTINGS
 @given(st.integers(1, 8).flatmap(token_rows))
-def test_plain_row_scan_matches_the_comprehension(rows):
+def test_block_scan_matches_the_comprehension(rows):
     d = len(rows)
     lines = [sep.join(toks) for sep, toks in rows]
-    for line in lines:
-        pairs = _plain_row(line, d)
-        if pairs is not None:
-            assert len(line.split()) == d
-            assert pairs == comprehension_scan(line.split())
     text = f"{d}\n" + "".join(f"{line}\n" for line in lines)
+    writer_form = all(
+        len(toks) == d and set(toks) <= {"0", "1"} and line == " ".join(toks)
+        for (_, toks), line in zip(rows, lines)
+    )
+    block = _writer_form_nonzeros(text)
+    if writer_form:
+        assert block == (d, [comprehension_scan(line.split()) for line in lines])
+    else:
+        assert block is None
     numbered = list(enumerate(lines, start=2))
     assert outcome(parse_plm_text, text, "f.txt") == outcome(
         reference_read_dense, d, numbered, "f.txt"
     )
+
+
+def reference_read_text(text, path):
+    """The split path over the whole text: stripped non-blank lines, the
+    dimension line, then ``reference_read_dense`` over the rows."""
+    d, rows = _parse_dim(path, _numbered_lines(text))
+    return reference_read_dense(d, rows, path)
+
+
+EDIT_CHARS = "01 \n\r\t\x0b+2"
+
+
+def edited_writer_texts():
+    """A PLM's text as the writer writes it (d <= 12), then up to three
+    single-character edits (replace, insert or delete, with characters from
+    ``EDIT_CHARS``), perhaps a blank line or a CRLF, and perhaps a variant
+    of the dimension line."""
+
+    def build(d):
+        edit = st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                         st.integers(0, 2 * d * d + 3), st.sampled_from(EDIT_CHARS))
+        return st.tuples(
+            st.just(d),
+            st.lists(st.integers(1, d), min_size=d, max_size=d),
+            st.lists(edit, max_size=3),
+            st.sampled_from((None, "\n", "\r\n")),
+            st.integers(1, d),
+            st.sampled_from((None, " {}", "+{}", "{}\r", "arabic")),
+        )
+
+    def text(args):
+        d, colmap, edits, newline, row, head = args
+        rows = [" ".join("1" if r == i else "0" for r in colmap) for i in range(1, d + 1)]
+        body = "".join(f"{line}\n" for line in rows)
+        for op, k, c in edits:
+            k %= len(body) + 1
+            body = (body[:k] + c + body[k + 1 :] if op == "replace"
+                    else body[:k] + c + body[k:] if op == "insert"
+                    else body[:k] + body[k + 1 :])
+        if newline:
+            # after the row-th line break, or at the end when fewer are left
+            k = -1
+            for _ in range(row):
+                k = body.find("\n", k + 1)
+                if k < 0:
+                    break
+            body = body[:k] + newline + body[k:] if k >= 0 else body + newline
+        if head == "arabic":
+            dim = "".join(chr(0x660 + int(c)) for c in str(d))
+        else:
+            dim = (head or "{}").format(d)
+        return not edits and not newline and not head, f"{dim}\n" + body
+
+    return st.integers(1, MAX_D).flatmap(build).map(text)
+
+
+@TEXT_SETTINGS
+@given(edited_writer_texts())
+def test_block_reader_matches_the_split_path(case):
+    unedited, text = case
+    if unedited:
+        assert _writer_form_nonzeros(text) is not None
+    assert outcome(parse_plm_text, text, "f.txt") == outcome(reference_read_text, text, "f.txt")
 
 
 def value_grids():
