@@ -7,16 +7,16 @@ integers, or as decimals; decimals parse exactly (0.1 means 1/10).  Writers
 emit the dense form.
 
 The dense PLM reader and writer work on the column map, never on a d x d grid
-of ints.  Text exactly as the writer writes it, ``f"{d}\n"`` and then d rows of
-d characters ``0`` or ``1`` between single spaces, each ending in ``\n``, is
-checked as one block by C-level ``str`` slices and counts, and its ones are
-found with ``str.find``, in O(ones) Python steps with no split.  Any other text
-is split into stripped lines, each row once into tokens, and its tokens other
-than ``"0"`` go to ``int``; any token ``int`` accepts reads as that integer
-(``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are ones, ``1_0`` is
-ten).  Both paths end in the column check ``from_dense`` uses.  The writer
-fills one buffer with ``0`` cells, sets one ``1`` per column and decodes it
-once.
+of ints.  Text exactly as the writer writes it, the dimension line and then d
+rows of d characters ``0`` or ``1`` between single spaces, each ending in a
+newline, is checked as one block by C-level ``str`` slices and counts, and its
+ones are found with ``str.find``, in O(d + ones) Python steps with no split.
+Any other text is split into stripped lines, each row once into tokens, and
+its tokens other than ``"0"`` go to ``int``; any token ``int`` accepts reads
+as that integer (``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are
+ones, ``1_0`` is ten).  Both paths end in the column check ``from_dense``
+uses.  The writer fills one buffer with ``0`` cells, sets one ``1`` per column
+and decodes it once.
 """
 
 from __future__ import annotations
