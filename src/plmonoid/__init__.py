@@ -28,6 +28,7 @@ from .core import (
 )
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     MatrixParseError,
     NotCplmError,
     NotLeftStochasticError,

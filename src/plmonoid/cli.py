@@ -2,24 +2,27 @@
 
 Exit codes: 0 success (and passing sweeps), 1 sweep or check failure, or a
 reader that closed stdout early (a broken pipe, reported silently), 2 parse
-or flag error, or an ``--out`` path that cannot be written, 3 dimension
-mismatch, 4 stochastic validation failure.  All JSON output has sorted keys;
-verify reports are byte-stable across runs, with measured time going to
-stderr instead of the report.
+or flag error (input that is not UTF-8 is a parse error), or an ``--out``
+path that cannot be written, 3 dimension mismatch, 4 stochastic validation
+failure.  A flag error is an :class:`InvalidArgumentError` raised by the
+library's own argument checks or by a command, and ``main`` alone turns it
+into ``error: ...`` and exit 2.  All JSON output has sorted keys; verify
+reports are byte-stable across runs, with measured time going to stderr
+instead of the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 from pathlib import Path
 
-from .core import _plm_trusted, classify, multiply
+from .core import classify, multiply
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     MatrixParseError,
     NotLeftStochasticError,
     PlmError,
@@ -36,6 +39,7 @@ from .formats import (
 from .spectral import DEFAULT_TOL, check_tol, eigen_check, periodicity
 from .stochastic import check_decomposition, decompose
 from .verify import (
+    _plms,
     check_sweep_args,
     sweep_decompose,
     sweep_eigen,
@@ -49,9 +53,11 @@ MAX_PLAIN_ENUMERATE = 8
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixParseError(path, None, f"cannot read file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(path, None, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_plm(path: str):
@@ -64,7 +70,7 @@ def _load_stochastic(path: str):
 
 def _write(path: str, chunks) -> None:
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.writelines(chunks)
     except OSError as exc:
         raise PlmError(f"cannot write {path}: {exc.strerror}") from None
@@ -150,23 +156,8 @@ def cmd_period(args) -> int:
     return 0
 
 
-def _bad_arg(check, *args) -> bool:
-    # Run one of the library's argument checks; print its message as a flag error.
-    try:
-        check(*args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
-
-
-def _bad_tol(tol: float) -> bool:
-    return _bad_arg(check_tol, tol, "--tol")
-
-
 def cmd_eigen(args) -> int:
-    if _bad_tol(args.tol):
-        return 2
+    check_tol(args.tol, "--tol")
     report = eigen_check(_load_plm(args.matrix), tol=args.tol)
     _emit(dumps_compact(report.to_json_dict()), args.out)
     return 0
@@ -186,19 +177,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.d < 1:
-        print(f"error: dimension must be >= 1, got {args.d}", file=sys.stderr)
-        return 2
+    check_sweep_args(args.d)
     if args.d > MAX_PLAIN_ENUMERATE and not args.force:
-        print(
-            f"error: d={args.d} means {args.d}**{args.d} lines; pass --force to insist",
-            file=sys.stderr,
+        raise InvalidArgumentError(
+            f"d={args.d} means {args.d}**{args.d} lines; pass --force to insist"
         )
-        return 2
-    lines = (
-        plm_to_colmap_line(_plm_trusted(cm)) + "\n"
-        for cm in itertools.product(range(1, args.d + 1), repeat=args.d)
-    )
+    lines = (plm_to_colmap_line(a) + "\n" for a in _plms(args.d))
     if args.out:
         _write(args.out, lines)
     else:
@@ -217,8 +201,8 @@ SWEEPS = {
 
 
 def cmd_verify(args) -> int:
-    if _bad_tol(args.tol) or _bad_arg(check_sweep_args, args.d, args.cases):
-        return 2
+    check_tol(args.tol, "--tol")
+    check_sweep_args(args.d, args.cases)
     names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
     reports = [SWEEPS[name](args) for name in names]
     for report in reports:

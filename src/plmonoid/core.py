@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NotCplmError, NotPlmError
+from .errors import DimensionMismatchError, InvalidArgumentError, NotCplmError, NotPlmError
 
 
 def _require_ints(**values) -> None:
@@ -34,7 +34,14 @@ def _require_ints(**values) -> None:
     # check and return a result, or fail later with an unrelated error.
     for name, x in values.items():
         if type(x) is not int:
-            raise ValueError(f"{name} must be an int, not {x!r}")
+            raise InvalidArgumentError(f"{name} must be an int, not {x!r}")
+
+
+def _require_dim(d) -> None:
+    # The one home of the dimension rule for arguments.
+    _require_ints(d=d)
+    if d < 1:
+        raise InvalidArgumentError(f"dimension {d} must be >= 1")
 
 
 def _trusted(cls, **fields):
@@ -63,8 +70,7 @@ class Permutation:
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        if not images:
-            raise ValueError("dimension 0 must be >= 1")
+        _require_dim(len(images))
         if any(type(v) is not int for v in images):
             raise ValueError(f"permutation images must be ints: {images!r}")
         if sorted(images) != list(range(1, len(images) + 1)):
@@ -76,17 +82,16 @@ class Permutation:
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
-        _require_ints(d=d)
-        if d < 1:
-            raise ValueError(f"dimension {d} must be >= 1")
+        _require_dim(d)
         return _trusted(cls, images=tuple(range(1, d + 1)))
 
     @classmethod
     def transposition(cls, d: int, i: int, j: int) -> "Permutation":
         """The permutation of {1..d} swapping i and j."""
-        _require_ints(d=d, i=i, j=j)
+        _require_dim(d)
+        _require_ints(i=i, j=j)
         if not (1 <= i <= d and 1 <= j <= d):
-            raise ValueError(f"points {i}, {j} out of range 1..{d}")
+            raise InvalidArgumentError(f"points {i}, {j} out of range 1..{d}")
         images = list(range(1, d + 1))
         images[i - 1], images[j - 1] = j, i
         return _trusted(cls, images=tuple(images))
@@ -230,15 +235,16 @@ class CplmParts:
 
 
 def identity(d: int) -> Plm:
-    _require_ints(d=d)
+    _require_dim(d)
     return Plm(tuple(range(1, d + 1)))
 
 
 def row_plm(d: int, m: int) -> Plm:
     """The matrix R_m whose every column has its 1 in row m."""
-    _require_ints(d=d, m=m)
+    _require_dim(d)
+    _require_ints(m=m)
     if not 1 <= m <= d:
-        raise ValueError(f"row {m} out of range 1..{d}")
+        raise InvalidArgumentError(f"row {m} out of range 1..{d}")
     return Plm((m,) * d)
 
 
@@ -445,7 +451,7 @@ def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:
     d = a.dim
     _require_ints(n=n)
     if not 0 <= n <= d - 1:
-        raise ValueError(f"column count {n} out of range 0..{d - 1}")
+        raise InvalidArgumentError(f"column count {n} out of range 0..{d - 1}")
     v = parts.v
     return DenseBinaryMatrix(
         tuple(tuple(v[i] if j < n else 0 for j in range(d - 1)) for i in range(d - 1))

@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The ``plm`` command maps each :class:`PlmError` to its exit code in one
+handler.  A bad scalar argument (a dimension below 1; an index, count,
+exponent or tolerance out of range; a value that is not an exact ``int``) is
+an :class:`InvalidArgumentError`, which is also a ``ValueError``, so code
+that catches ``ValueError`` still catches it.  A bad value inside a matrix,
+column map or decomposition raises a plain ``ValueError``; the file readers
+turn those into :class:`MatrixParseError` with the file's name and line.
+"""
 
 
 class PlmError(Exception):
     """Base class for every error this package raises on purpose."""
+
+
+class InvalidArgumentError(PlmError, ValueError):
+    """A scalar argument has the wrong type or lies out of range."""
 
 
 class NotPlmError(PlmError):

@@ -3,8 +3,9 @@
 Matrix files: the first line holds the dimension d, followed by d lines of d
 whitespace-separated entries.  PLM readers also accept the one-line column-map
 form ``plm d: i1 i2 ... id``.  Stochastic entries may be written ``p/q``, as
-integers, or as decimals; decimals parse exactly (0.1 means 1/10).  Writers
-emit the dense form.
+integers, or as decimals; decimals parse exactly (0.1 means 1/10), and one
+whose numerator or denominator would pass Python's int-digit limit
+(``1e-5000``) is a parse error.  Writers emit the dense form.
 
 The dense PLM reader and writer work on the column map, never on a d x d grid
 of ints.  Text exactly as the writer writes it, the dimension line and then d
@@ -22,11 +23,10 @@ and decodes it once.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .core import Plm, _plm_of_nonzeros, _require_ints
 from .errors import MatrixParseError, NotPlmError
-from .stochastic import Decomposition, StochasticMatrix
+from .stochastic import Decomposition, StochasticMatrix, _fraction
 
 
 def _numbered_lines(text: str):
@@ -164,7 +164,7 @@ def parse_stochastic_text(text: str, path: str = "<input>") -> StochasticMatrix:
         entries = []
         for tok in line.split():
             try:
-                entries.append(Fraction(tok))
+                entries.append(_fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise MatrixParseError(path, n, f"cannot parse entry {tok!r}") from None
         if len(entries) != d:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Plm, _plm_trusted, _require_ints, multiply, to_dense
-from .errors import RootFindingError
+from .errors import InvalidArgumentError, RootFindingError
 
 DEFAULT_TOL = 1e-9
 
@@ -122,7 +122,7 @@ def power(a: Plm, k: int) -> Plm:
     """A^k by repeated squaring; A^0 is the identity."""
     _require_ints(k=k)
     if k < 0:
-        raise ValueError("PLMs are not invertible in general; exponent must be >= 0")
+        raise InvalidArgumentError("PLMs are not invertible in general; exponent must be >= 0")
     result = _plm_trusted(tuple(range(1, a.dim + 1)))
     base = a
     while k:
@@ -325,18 +325,19 @@ def max_unity_deviation(roots, period: int, tol: float) -> float:
 
 
 def check_tol(tol: float, name: str = "tolerance") -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite real number above 0.
+    """Raise :class:`InvalidArgumentError` unless ``tol`` is a finite real
+    number above 0.
 
     A bool would be a tolerance of 0 or 1.  NaN fails every comparison, so
     it would pass ``tol <= 0`` and every ``dev > tol`` test, and an infinite
     tolerance accepts any root: either turns the numeric cross-check off.
     """
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ValueError(f"{name} must be a real number, not {tol!r}")
+        raise InvalidArgumentError(f"{name} must be a real number, not {tol!r}")
     if tol <= 0:
-        raise ValueError(f"{name} must be positive, got {tol}")
+        raise InvalidArgumentError(f"{name} must be positive, got {tol}")
     if not math.isfinite(tol):
-        raise ValueError(f"{name} must be finite, got {tol}")
+        raise InvalidArgumentError(f"{name} must be finite, got {tol}")
 
 
 def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:

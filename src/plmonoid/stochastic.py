@@ -26,13 +26,15 @@ exact Python ints, converting back to ``Fraction`` only for the results.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Plm, _plm_trusted, _require_ints, _trusted
+from .core import Plm, _plm_trusted, _require_dim, _require_ints, _trusted
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     NotLeftStochasticError,
     WeightSumNotOneError,
     ZeroColumnError,
@@ -42,14 +44,38 @@ from .errors import (
 # Entry types that convert to Fraction exactly; float and bool are refused.
 _EXACT_TYPES = (int, Fraction, str)
 
+# Python 3.10 before 3.10.7 has no limit on int-string conversion.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _fraction(s: str) -> Fraction:
+    # Fraction(s), refusing with ValueError a decimal string whose numerator
+    # or denominator, before reduction, would have more digits than
+    # sys.get_int_max_str_digits() allows (0: no limit).  Fraction builds the
+    # powers of ten of a decimal's point and exponent before any check, so
+    # "1e-5000" parsed and then failed where its value was printed, and
+    # "1e-10000000" took seconds.  Without an exponent, neither part can
+    # have more digits than s has characters, and in a "p/q" string int()
+    # refuses a part past the limit itself.
+    limit = _int_max_str_digits()
+    if limit and ("e" in s or "E" in s or len(s) > limit) and "/" not in s:
+        mantissa, _, exp = s.lower().partition("e")
+        whole, _, frac = mantissa.partition(".")
+        k = int(exp or 0)
+        n_frac = sum(map(str.isdigit, frac))
+        n_all = sum(map(str.isdigit, whole)) + n_frac
+        if max(n_all + max(k, 0), 1 + n_frac + max(-k, 0)) > limit:
+            raise ValueError(f"{s!r} would have more than {limit} digits")
+    return Fraction(s)
+
 
 def _exact(x, name: str, *where) -> Fraction:
     # x as a Fraction, for an entry or a weight.  Raises ValueError, naming x
     # by ``name.format(x, *where)``, unless x is of the exact types and, for a
-    # string, Fraction() parses it to a finite value ("1/0" does not).
+    # string, _fraction() parses it to a finite value ("1/0" does not).
     if type(x) in _EXACT_TYPES:
         try:
-            return Fraction(x)
+            return _fraction(x) if type(x) is str else Fraction(x)
         except (ValueError, ZeroDivisionError):
             problem = "is not a valid fraction"
     else:
@@ -344,11 +370,10 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
     Each column picks a denominator q <= max_denominator and splits q into d
     nonnegative integer parts uniformly via sorted cut points.
     """
-    _require_ints(d=d, seed=seed, max_denominator=max_denominator)
-    if d < 1:
-        raise ValueError(f"dimension {d} must be >= 1")
+    _require_dim(d)
+    _require_ints(seed=seed, max_denominator=max_denominator)
     if max_denominator < 1:
-        raise ValueError(f"max denominator {max_denominator} must be >= 1")
+        raise InvalidArgumentError(f"max denominator {max_denominator} must be >= 1")
     rng = random.Random(seed)
     cols = []
     for _ in range(d):

@@ -30,18 +30,17 @@ from .core import (
     Plm,
     _classify,
     _plm_trusted,
+    _require_dim,
     _require_ints,
     _trusted,
     canonicalize,
-    classify,
-    cplm_parts,
     from_dense,
     is_permutation,
     multiply,
     structural_multiply,
     to_dense,
 )
-from .errors import RootFindingError
+from .errors import InvalidArgumentError, RootFindingError
 from .spectral import DEFAULT_TOL, eigen_check, periodicity
 from .stochastic import check_decomposition, decompose, random_left_stochastic
 
@@ -50,9 +49,10 @@ RANDOM_MAX_DENOMINATOR = 1000
 
 def plm_from_index(d: int, index: int) -> Plm:
     """The index-th PLM of dimension d in lexicographic column-map order."""
-    _require_ints(d=d, index=index)
+    _require_dim(d)
+    _require_ints(index=index)
     if not 0 <= index < d**d:
-        raise ValueError(f"index {index} out of range 0..{d**d - 1}")
+        raise InvalidArgumentError(f"index {index} out of range 0..{d**d - 1}")
     cm = []
     for pos in range(d - 1, -1, -1):
         cm.append(index // d**pos % d + 1)
@@ -66,14 +66,12 @@ def _plms(d: int, start: int = 0, stop: int | None = None):
 
 
 def check_sweep_args(d: int, n_cases: int = 0) -> None:
-    """Raise ``ValueError`` unless ``d`` is an int >= 1 and ``n_cases`` an
-    int >= 0."""
-    _require_ints(d=d)
-    if d < 1:
-        raise ValueError(f"dimension {d} must be >= 1")
+    """Raise :class:`InvalidArgumentError` unless ``d`` is an int >= 1 and
+    ``n_cases`` an int >= 0."""
+    _require_dim(d)
     _require_ints(n_cases=n_cases)
     if n_cases < 0:
-        raise ValueError(f"case count {n_cases} must be >= 0")
+        raise InvalidArgumentError(f"case count {n_cases} must be >= 0")
 
 
 def enumerate_plms(d: int) -> list[Plm]:
@@ -150,8 +148,9 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
 
     Each chunk returns ``(failures, part)``.  Failures concatenate, and the
     parts go to ``findings(parts)``, in ascending chunk order, so the report
-    does not depend on the worker count.  Raises ``ValueError`` through
-    :func:`check_sweep_args` for a bad ``d`` or ``total``.
+    does not depend on the worker count.  Raises
+    :class:`InvalidArgumentError` through :func:`check_sweep_args` for a bad
+    ``d`` or ``total``.
     """
     check_sweep_args(d, total)
     t0 = time.perf_counter()
@@ -317,15 +316,11 @@ def sweep_eigen(d: int, tol: float = DEFAULT_TOL, workers: int = 1) -> SweepRepo
     )
 
 
-def _cplm_with_row_plc(a: Plm) -> bool:
-    # Is this a CPLM with zero leading entry whose PLC is a row PLM?
-    cls = classify(a)
-    if cls.kind == "rowplm":
-        return cls.m > 1
-    if cls.kind != "cplm" or cls.leading:
-        return False
-    sub = classify(cplm_parts(a).plc)
-    return sub.kind == "rowplm"
+def _cplm_with_row_plc(cm: tuple[int, ...]) -> bool:
+    # Is this a CPLM with zero leading entry whose PLC is a row PLM (a row
+    # PLM R_m with m > 1 counts)?  Row 1 is empty, and columns 2..d share
+    # one row.
+    return 1 not in cm and cm[1:].count(cm[-1]) == len(cm) - 1
 
 
 def _prerow_chunk(d: int, start: int, stop: int):
@@ -344,8 +339,8 @@ def _prerow_chunk(d: int, start: int, stop: int):
                 "colmap": list(a.colmap),
                 "e": verdict.e,
                 "m": verdict.m,
-                "literal_form": _cplm_with_row_plc(a),
-                "canonical_form": _cplm_with_row_plc(canonical),
+                "literal_form": _cplm_with_row_plc(a.colmap),
+                "canonical_form": _cplm_with_row_plc(canonical.colmap),
             }
         )
     return [], (row_plms, records)

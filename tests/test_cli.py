@@ -236,6 +236,14 @@ class TestDecompose:
         code, _, err = run("decompose", str(p))
         assert code == 4
 
+    def test_exponent_past_the_int_digit_limit_exit_2(self, run, tmp_path):
+        # Fraction("1e-5000") parsed, and printing the column sum in the
+        # exit-4 message then raised ValueError past sys's int-digit limit.
+        p = tmp_path / "m.txt"
+        p.write_text("2\n1e-5000 0\n1 1\n")
+        code, out, err = run("decompose", str(p))
+        assert (code, out, err) == (2, "", f"error: {p}:2: cannot parse entry '1e-5000'\n")
+
     def test_decimal_entries_parse_exactly(self, run, tmp_path):
         p = tmp_path / "dec.txt"
         p.write_text("2\n0.3 0.7\n0.7 0.3\n")
@@ -375,14 +383,23 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            *[((name, "0"), "dimension 0 must be >= 1") for name in (*cli.SWEEPS, "all")],
-            (("mul", "-1"), "dimension -1 must be >= 1"),
-            (("decompose", "2", "--cases", "-1"), "case count -1 must be >= 0"),
+            *[
+                (("verify", name, "0"), "dimension 0 must be >= 1")
+                for name in (*cli.SWEEPS, "all")
+            ],
+            (("verify", "mul", "-1"), "dimension -1 must be >= 1"),
+            (("verify", "decompose", "2", "--cases", "-1"), "case count -1 must be >= 0"),
+            (("enumerate", "0"), "dimension 0 must be >= 1"),
+            (("enumerate", "9"), "d=9 means 9**9 lines; pass --force to insist"),
+            (("eigen", "i.txt", "--tol", "nan"), "--tol must be finite, got nan"),
         ],
-        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+        # the verify cases keep the ids they had before other commands joined
+        ids=lambda v: " ".join(v).removeprefix("verify ") if isinstance(v, tuple) else None,
     )
-    def test_rejects_bad_dimension_or_case_count(self, run, argv, message):
-        code, out, err = run("verify", *argv)
+    def test_rejects_bad_dimension_or_case_count(self, run, files, argv, message):
+        # Every flag error takes one path: the library's check raises, and
+        # main prints it as one error line with exit 2.
+        code, out, err = run(*[files.get(arg, arg) for arg in argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -412,6 +429,40 @@ class TestOutFlag:
         assert out == ""
         assert err.endswith(f"error: cannot write {target}: No such file or directory\n")
         assert "Traceback" not in err
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    def test_input_that_is_not_utf8_exit_2(self, run, tmp_path, command):
+        # A UTF-16 byte-order mark: this ended in a UnicodeDecodeError traceback.
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff\xfe2\n1 0\n0 1\n")
+        code, out, err = run(command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8: invalid start byte at byte 0\n"
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        # The formats docstring lets int() read any Unicode digit; the file
+        # used to be decoded with the locale's encoding, ASCII under LC_ALL=C.
+        path = tmp_path / "m.txt"
+        path.write_text("plm 2: \u0661 \u0662\n", encoding="utf-8")
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(plmonoid.__file__).parents[1]),
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "plmonoid", "classify", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0,
+            b'{"class": "cplm", "leading": true}\n',
+            b"",
+        )
 
 
 def test_unknown_command_exit_2(run):

@@ -15,6 +15,7 @@ from plmonoid import (
     CplmParts,
     DenseBinaryMatrix,
     DimensionMismatchError,
+    InvalidArgumentError,
     NotCplmError,
     NotPlmError,
     Permutation,
@@ -34,7 +35,7 @@ from plmonoid import (
     tail_column_block,
     to_dense,
 )
-from plmonoid.verify import enumerate_plms, oracle_multiply
+from plmonoid.verify import enumerate_plms, oracle_multiply, plm_from_index
 
 
 def rand_plm(rng, d):
@@ -109,17 +110,27 @@ class TestPermutation:
         ((3, 1.0, 2), "i"), ((3, 1, True), "j"), ((3.0, 1, 2), "d"), ((True, 1, 1), "d"),
     ])
     def test_transposition_rejects_non_int_arguments(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an int"):
             Permutation.transposition(*args)
 
     @pytest.mark.parametrize("make, d", [
         (lambda: Permutation(()), 0),
         (lambda: Permutation.identity(0), 0),
         (lambda: Permutation.identity(-3), -3),
+        *[
+            pytest.param(lambda make=make, d=d: make(d), d, id=f"{name}-{d}")
+            for name, make in [
+                ("identity", identity),
+                ("row_plm", lambda d: row_plm(d, 1)),
+                ("transposition", lambda d: Permutation.transposition(d, 1, 1)),
+                ("plm_from_index", lambda d: plm_from_index(d, 0)),
+            ]
+            for d in (0, -1)
+        ],
     ])
     def test_refuses_a_dimension_below_one(self, make, d):
-        # the same refusal as Plm, identity and the sweeps
-        with pytest.raises(ValueError, match=f"^dimension {d} must be >= 1$"):
+        # the same refusal and message as the sweeps, from core._require_dim
+        with pytest.raises(InvalidArgumentError, match=f"^dimension {d} must be >= 1$"):
             make()
 
 
@@ -189,17 +200,17 @@ class TestPlmConstruction:
 
     def test_row_plm_range(self):
         assert row_plm(3, 2).colmap == (2, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match=r"^row 4 out of range 1\.\.3$"):
             row_plm(3, 4)
 
     @pytest.mark.parametrize("args, name", [((True, 1), "d"), ((2.0, 1), "d"), ((3, 2.0), "m")])
     def test_row_plm_rejects_non_int_arguments(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an int"):
             row_plm(*args)
 
     @pytest.mark.parametrize("d", [True, 2.0, "2"])
     def test_identity_rejects_non_int_dimension(self, d):
-        with pytest.raises(ValueError, match="^d must be an int"):
+        with pytest.raises(InvalidArgumentError, match="^d must be an int"):
             identity(d)
 
 
@@ -441,14 +452,14 @@ class TestTailColumnBlock:
         assert all(x == 0 for row in block.entries for x in row)
 
     def test_range_and_class_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match=r"^column count 3 out of range 0\.\.2$"):
             tail_column_block(Plm((2, 3, 3)), 3)
         with pytest.raises(NotCplmError):
             tail_column_block(Plm((1, 1, 2)), 1)
 
     @pytest.mark.parametrize("n", [True, 1.5, 1.0])
     def test_rejects_non_int_column_count(self, n):
-        with pytest.raises(ValueError, match="^n must be an int"):
+        with pytest.raises(InvalidArgumentError, match="^n must be an int"):
             tail_column_block(Plm((2, 3, 3)), n)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from plmonoid import (
     CharPoly,
+    InvalidArgumentError,
     Plm,
     RootFindingError,
     char_poly,
@@ -89,13 +90,13 @@ class TestPower:
         assert power(p, 7) == p
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="exponent must be >= 0$"):
             power(identity(2), -1)
 
     @pytest.mark.parametrize("k", [True, 2.0, "2"])
     def test_rejects_non_int_exponent(self, k):
         # power(a, True) used to return a, and power(a, 2.0) to fail in `&`
-        with pytest.raises(ValueError, match="^k must be an int"):
+        with pytest.raises(InvalidArgumentError, match="^k must be an int"):
             power(Plm((2, 1)), k)
 
     def test_matches_repeated_multiplication(self):
@@ -440,15 +441,16 @@ class TestEigenCheck:
         assert all(len(pair) == 2 for pair in d["numeric_eigenvalues"])
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="^tolerance must be positive, got 0.0$"):
             eigen_check(identity(2), tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="^tolerance must be positive, got"):
             eigen_check(identity(2), tol=-1e-9)
 
     @pytest.mark.parametrize("tol", [True, "1e-9", None, 1j])
     def test_rejects_bool_and_non_real_tolerance(self, tol):
         # True ran as a tolerance of 1, and "1e-9" raised TypeError in `<=`
-        with pytest.raises(ValueError, match=f"^tolerance must be a real number, not {tol!r}$"):
+        message = f"^tolerance must be a real number, not {tol!r}$"
+        with pytest.raises(InvalidArgumentError, match=message):
             eigen_check(identity(2), tol)
 
     @pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), Fraction(1, 10**9), 1])
@@ -461,7 +463,7 @@ class TestEigenCheck:
         # the allowed spectrum, so either tolerance used to pass this
         # permutation whatever its numeric roots.
         a = cycle_permutation((5, 7, 8, 9, 11))
-        with pytest.raises(ValueError, match=f"^tolerance must be finite, got {tol}$"):
+        with pytest.raises(InvalidArgumentError, match=f"^tolerance must be finite, got {tol}$"):
             eigen_check(a, tol)
 
     def test_exhaustive_d3_has_zero_iff_not_permutation(self):

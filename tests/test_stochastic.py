@@ -1,5 +1,6 @@
 """Exact decomposition of left stochastic matrices into convex PLM combinations."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,48 @@ class TestStochasticMatrix:
         message = rf"^entry {bad!r} at row 2, column 1 is not a valid fraction$"
         with pytest.raises(ValueError, match=message):
             StochasticMatrix(((F(1), F(1)), (bad, F(0))))
+
+    @pytest.fixture
+    def digit_limit(self):
+        # The smallest limit Python allows, so that the edge cases stay short.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield 640
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "1e-639",
+            "1e639",
+            pytest.param("0." + "0" * 638 + "1", id="1e-639-written-out"),
+            pytest.param("1" * 400 + "." + "1" * 240, id="640-digit-numerator"),
+            "2.5E-637",
+        ],
+    )
+    def test_decimal_at_the_int_digit_limit_is_read(self, digit_limit, entry):
+        # numerator and denominator have at most 640 digits before reduction
+        x = StochasticMatrix(((entry,),)).entries[0][0]
+        assert x == Fraction(entry)
+        assert len(str(x)) > 600
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "1e-640",
+            "1e640",
+            ".1e-639",
+            pytest.param("0." + "0" * 639 + "1", id="1e-640-written-out"),
+            pytest.param("1" * 400 + "." + "1" * 241, id="641-digit-numerator"),
+            "1e-10000000",
+        ],
+    )
+    def test_decimal_past_the_int_digit_limit_is_refused(self, digit_limit, entry):
+        # Fraction() built these, 1e-10000000 in seconds, and str() of the
+        # value then raised past the limit.
+        message = r"^entry .* at row 1, column 1 is not a valid fraction$"
+        with pytest.raises(ValueError, match=message):
+            StochasticMatrix(((entry,),))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(NotLeftStochasticError) as err:

@@ -10,10 +10,13 @@ import pytest
 from plmonoid import (
     Decomposition,
     DenseBinaryMatrix,
+    InvalidArgumentError,
     Permutation,
     Plm,
     SweepReport,
     check_decomposition,
+    classify,
+    cplm_parts,
     identity,
     random_left_stochastic,
     to_dense,
@@ -58,7 +61,7 @@ class TestEnumeration:
         assert plm_from_index(3, 26) == Plm((3, 3, 3))
         assert plm_from_index(2, 2) == Plm((2, 1))
         for i in (-1, 27):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgumentError, match=rf"^index {i} out of range 0\.\.26$"):
                 plm_from_index(3, i)
         with pytest.raises(ValueError):
             enumerate_plms(0)
@@ -253,6 +256,22 @@ class TestPrerowSweep:
             "canonical_form": True,
         }
 
+    @staticmethod
+    def cplm_with_row_plc_reference(a):
+        # The survey's predicate as the classes state it: a CPLM with zero
+        # leading entry whose PLC is a row PLM, or a row PLM R_m with m > 1.
+        cls = classify(a)
+        if cls.kind == "rowplm":
+            return cls.m > 1
+        if cls.kind != "cplm" or cls.leading:
+            return False
+        return classify(cplm_parts(a).plc).kind == "rowplm"
+
+    def test_form_predicate_matches_its_reference_through_d6(self):
+        for d in range(1, 7):
+            for a in enumerate_plms(d):
+                assert verify._cplm_with_row_plc(a.colmap) == self.cplm_with_row_plc_reference(a), a
+
     def test_neither_reading_holds_universally(self):
         # both readings of the structural question fail at d = 3 and d = 4,
         # which is exactly why this sweep reports instead of asserting
@@ -329,12 +348,12 @@ SWEEPS = [sweep_multiplication, sweep_period, sweep_eigen, sweep_prerow, sweep_d
 @pytest.mark.parametrize("d", [0, -1])
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
 def test_sweeps_reject_dimension_below_one(sweep, d):
-    with pytest.raises(ValueError, match=f"^dimension {d} must be >= 1$"):
+    with pytest.raises(InvalidArgumentError, match=f"^dimension {d} must be >= 1$"):
         sweep(d)
 
 
 def test_decompose_sweep_rejects_negative_case_count():
-    with pytest.raises(ValueError, match="^case count -3 must be >= 0$"):
+    with pytest.raises(InvalidArgumentError, match="^case count -3 must be >= 0$"):
         sweep_decompose(2, n_cases=-3)
 
 
@@ -368,5 +387,5 @@ def test_decompose_sweep_rejects_negative_case_count():
     ],
 )
 def test_rejects_non_int_arguments(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an int, not "):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be an int, not "):
         call()
