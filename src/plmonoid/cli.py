@@ -2,13 +2,14 @@
 
 Exit codes: 0 success (and passing sweeps), 1 sweep or check failure, or a
 reader that closed stdout early (a broken pipe, reported silently), 2 parse
-or flag error (input that is not UTF-8 is a parse error), or an ``--out``
-path that cannot be written, 3 dimension mismatch, 4 stochastic validation
-failure.  A flag error is an :class:`InvalidArgumentError` raised by the
-library's own argument checks or by a command, and ``main`` alone turns it
-into ``error: ...`` and exit 2.  All JSON output has sorted keys; verify
-reports are byte-stable across runs, with measured time going to stderr
-instead of the report.
+or flag error (input that is not UTF-8 is a parse error), or output that
+cannot be written (an ``--out`` path, or an exact value past Python's
+int-digit limit), 3 dimension mismatch, 4 stochastic validation failure.  A
+flag error is an :class:`InvalidArgumentError` raised by the library's own
+argument checks or by a command, and ``main`` alone turns it into
+``error: ...`` and exit 2.  All JSON output has sorted keys; verify reports
+are byte-stable across runs, with measured time going to stderr instead of
+the report.
 """
 
 from __future__ import annotations

@@ -65,9 +65,8 @@ class RootFindingError(PlmError):
     Exact verdicts (periodicity, characteristic polynomial) are unaffected.
     """
 
-    def __init__(self, message: str, root=None, deviation: float | None = None):
+    def __init__(self, message: str, deviation: float | None = None):
         super().__init__(message)
-        self.root = root
         self.deviation = deviation
 
 

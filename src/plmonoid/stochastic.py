@@ -10,7 +10,8 @@ with uniform column sums, and the last step zeroes d entries, one per column.
 So a matrix with nnz positive entries takes at most nnz - d + 1 <= d^2 - d + 1
 terms (also Carathéodory's bound), and the weights sum to 1 exactly.  Those
 invariants hold by construction and are not re-checked;
-:func:`check_decomposition` verifies a decomposition from its terms alone.
+:func:`check_decomposition` verifies a decomposition from its terms alone, in
+one pass that subtracts them from the matrix.
 
 Validation happens where caller data enters: the ``StochasticMatrix`` and
 ``Decomposition`` constructors.  The matrices and decompositions this module
@@ -21,6 +22,12 @@ Nothing here rounds.  Matrices and weights are held as ``fractions.Fraction``
 at the interface; the decomposition, recomposition and verification loops
 scale them by the least common multiple of their denominators and run on
 exact Python ints, converting back to ``Fraction`` only for the results.
+Those can outgrow what ``str()`` writes: the denominators of legal entries
+multiply, and ``sys.get_int_max_str_digits()`` (4300 digits by default) caps
+int-to-text conversion.  One helper turns exact values into text.  For a
+value past the limit, an error message says it is too long to print, and
+``Decomposition.to_json_dict`` raises :class:`PlmError` naming the limit.
+The limit itself is left as it is.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NotLeftStochasticError,
+    PlmError,
     WeightSumNotOneError,
     ZeroColumnError,
 )
@@ -83,6 +91,23 @@ def _exact(x, name: str, *where) -> Fraction:
     raise ValueError(f"{name.format(x, *where)} {problem}")
 
 
+def _text(x: Fraction, name: str | None = None) -> str:
+    # str(x), unless its numerator or denominator has more digits than
+    # sys.get_int_max_str_digits() allows and str() raises ValueError.  Then
+    # a message gets a phrase saying so in place of the value, and output,
+    # which must hold the value (``name`` says what it is), gets PlmError.
+    try:
+        return str(x)
+    except ValueError:
+        limit = _int_max_str_digits()
+        if name is None:
+            return f"a value too long to print (more than {limit} digits)"
+        raise PlmError(
+            f"cannot write {name}: it has more than {limit} digits,"
+            " the limit sys.get_int_max_str_digits() sets"
+        ) from None
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Square matrix of nonnegative exact rationals (rows of columns of them).
@@ -110,7 +135,7 @@ class StochasticMatrix:
                 x = _exact(x, "entry {!r} at row {}, column {}", i, j)
                 if x < 0:
                     raise NotLeftStochasticError(
-                        f"negative entry {x} at row {i}, column {j}", column=j
+                        f"negative entry {_text(x)} at row {i}, column {j}", column=j
                     )
                 entries.append(x)
             rows.append(tuple(entries))
@@ -154,7 +179,7 @@ class Decomposition:
             if p.dim != d:
                 raise DimensionMismatchError(f"term dims {p.dim} != {d}")
             if not 0 < lam <= 1:
-                raise ValueError(f"weight {lam} outside (0, 1]")
+                raise ValueError(f"weight {_text(lam)} outside (0, 1]")
         if len(terms) > d * d:
             raise ValueError(f"{len(terms)} terms exceed the {d * d} bound")
         _scaled_weights([lam for lam, _ in terms])
@@ -167,7 +192,8 @@ class Decomposition:
         return {
             "dim": self.dim,
             "terms": [
-                {"lambda": str(lam), "colmap": list(p.colmap)} for lam, p in self.terms
+                {"lambda": _text(lam, f"the weight of term {n}"), "colmap": list(p.colmap)}
+                for n, (lam, p) in enumerate(self.terms, start=1)
             ],
         }
 
@@ -217,7 +243,7 @@ def _scaled_weights(lams: list[Fraction]) -> tuple[int, list[int]]:
     scale = lcm(*[lam.denominator for lam in lams])
     weights = _scaled(lams, scale)
     if sum(weights) != scale:
-        raise WeightSumNotOneError(f"weights sum to {Fraction(sum(weights), scale)}, not 1")
+        raise WeightSumNotOneError(f"weights sum to {_text(Fraction(sum(weights), scale))}, not 1")
     return scale, weights
 
 
@@ -259,7 +285,7 @@ def decompose(m: StochasticMatrix) -> Decomposition:
         if sum(col) != scale:
             total = Fraction(sum(col), scale)
             raise NotLeftStochasticError(
-                f"column {j} sums to {total}, not 1", column=j, total=total
+                f"column {j} sums to {_text(total)}, not 1", column=j, total=total
             )
 
     first = [0] * d
@@ -285,14 +311,20 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     Returns the problems found, in this order, or an empty list:
     ``recompose mismatch``, ``weights do not sum to 1``, ``weight outside
     (0, 1]``, ``too many terms``, then the first fault of the remainder walk,
-    which subtracts the terms from ``m`` one by one and recounts every entry
+    which subtracts the terms from ``m`` one by one and checks the remainder
     after each: ``negative remainder entry``, ``zero count did not grow`` or
     ``non-uniform column sums``, else ``nonzero final remainder`` if the walk
-    ends on a nonzero remainder.  Everything runs on ints scaled by the least
-    common multiple of all denominators.  The terms are not trusted to satisfy
-    :class:`Decomposition`'s own validation.  Raises
-    :class:`DimensionMismatchError` when a term's dimension differs from
-    ``m``'s.
+    ends on a nonzero remainder.  The walk is one pass: after the first fault
+    it keeps subtracting without checking, so the remainder it ends on is
+    ``m`` minus the recomposition, and ``recompose mismatch`` reads it too.
+    Every term takes its weight from each column exactly once, so the column
+    sums stay uniform through the walk exactly when every column of ``m``
+    sums to the weight total; that is decided before the walk and reported
+    at step 1 unless one of the other two tests fails there.  Everything
+    runs on ints scaled by the least common multiple of all denominators.
+    The terms are not trusted to satisfy :class:`Decomposition`'s own
+    validation.  Raises :class:`DimensionMismatchError` when a term's
+    dimension differs from ``m``'s.
     """
     d = m.dim
     for _, p in dec.terms:
@@ -304,36 +336,33 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     )
     cols = _int_columns(m, scale)
     weights = _scaled([lam for lam, _ in dec.terms], scale)
-    colmaps = [p.colmap for _, p in dec.terms]
-    problems = []
-    if _accumulate(weights, colmaps, d) != cols:
-        problems.append("recompose mismatch")
-    if sum(weights) != scale:
+    total = sum(weights)
+    uniform = all(sum(col) == total for col in cols)
+    zeros = sum(col.count(0) for col in cols)
+    fault = None
+    for w, (_, p) in zip(weights, dec.terms):
+        for col, r in zip(cols, p.colmap):
+            col[r - 1] -= w
+        if fault:
+            continue
+        new_zeros = sum(col.count(0) for col in cols)
+        if min(map(min, cols)) < 0:
+            fault = "negative remainder entry"
+        elif new_zeros <= zeros:
+            fault = "zero count did not grow"
+        elif not uniform:
+            fault = "non-uniform column sums"
+        zeros = new_zeros
+    rest = any(map(any, cols))
+    problems = ["recompose mismatch"] if rest else []
+    if total != scale:
         problems.append("weights do not sum to 1")
     if not all(0 < w <= scale for w in weights):
         problems.append("weight outside (0, 1]")
     if len(weights) > d * d:
         problems.append("too many terms")
-    zeros = sum(col.count(0) for col in cols)
-    running = sum(weights)
-    for w, cm in zip(weights, colmaps):
-        for col, r in zip(cols, cm):
-            col[r - 1] -= w
-        running -= w
-        if min(map(min, cols)) < 0:
-            problems.append("negative remainder entry")
-            break
-        new_zeros = sum(col.count(0) for col in cols)
-        if new_zeros <= zeros:
-            problems.append("zero count did not grow")
-            break
-        zeros = new_zeros
-        if list(map(sum, cols)).count(running) != d:
-            problems.append("non-uniform column sums")
-            break
-    else:
-        if any(map(any, cols)):
-            problems.append("nonzero final remainder")
+    if fault or rest:
+        problems.append(fault or "nonzero final remainder")
     return problems
 
 
@@ -353,7 +382,7 @@ def convex_combine(terms) -> StochasticMatrix:
         if p.dim != d:
             raise DimensionMismatchError(f"term dims {p.dim} != {d}")
         if not 0 <= lam <= 1:
-            raise ValueError(f"weight {lam} outside [0, 1]")
+            raise ValueError(f"weight {_text(lam)} outside [0, 1]")
     scale, weights = _scaled_weights([lam for lam, _ in terms])
     cols = _accumulate(weights, [p.colmap for _, p in terms], d)
     rows = tuple([tuple([Fraction(x, scale) for x in row]) for row in zip(*cols)])

@@ -101,6 +101,10 @@ def test_memory_line_shows_the_samples_each_side_holds(bench_pairs):
             runs[side].append(run)
     metrics = {**METRICS, "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}}
     record = bench_pairs.summarize_pairs([1, 2, 3], runs, metrics)
+    assert record["metrics"]["peak_rss_mb"]["latency_samples_median"] == {
+        "parent": 401, "change": 701
+    }
+    assert "latency_samples_median" not in record["metrics"]["cases_per_s"]
     line = bench_pairs.pair_line(record, "peak_rss_mb")
     assert line.startswith("peak_rss_mb    parent         38  change       41.5  x1.092  wins 0/3")
     assert line.endswith("  latency_samples parent 401  change 701")

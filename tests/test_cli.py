@@ -244,6 +244,39 @@ class TestDecompose:
         code, out, err = run("decompose", str(p))
         assert (code, out, err) == (2, "", f"error: {p}:2: cannot parse entry '1e-5000'\n")
 
+    # Each entry over P or Q fits sys.get_int_max_str_digits(), but a sum or
+    # difference of two such entries has a denominator near P * Q that does
+    # not.  Printing one ended in a ValueError traceback with exit 1.
+    P, Q = 10**3000 + 1, 10**3000 + 3
+
+    def assert_one_error_line(self, run, tmp_path, text, code):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        result = run("decompose", str(path))
+        assert sys.get_int_max_str_digits() == limit
+        assert result[:2] == (code, "")
+        assert result[2].count("\n") == 1 and result[2].startswith("error: ")
+        assert "Traceback" not in result[2]
+        return result[2], limit
+
+    def test_weight_past_the_int_digit_limit_exit_2(self, run, tmp_path):
+        P, Q = self.P, self.Q
+        text = f"2\n1/{P} 1/{Q}\n{P - 1}/{P} {Q - 1}/{Q}\n"
+        err, limit = self.assert_one_error_line(run, tmp_path, text, 2)
+        assert err == (
+            f"error: cannot write the weight of term 2: it has more than {limit} digits,"
+            " the limit sys.get_int_max_str_digits() sets\n"
+        )
+
+    def test_column_sum_past_the_int_digit_limit_exit_4(self, run, tmp_path):
+        text = f"2\n1/{self.P} 0\n1/{self.Q} 1\n"
+        err, limit = self.assert_one_error_line(run, tmp_path, text, 4)
+        assert err == (
+            "error: not left stochastic: column 1 sums to a value too long to print"
+            f" (more than {limit} digits), not 1\n"
+        )
+
     def test_decimal_entries_parse_exactly(self, run, tmp_path):
         p = tmp_path / "dec.txt"
         p.write_text("2\n0.3 0.7\n0.7 0.3\n")

@@ -5,7 +5,8 @@ the characteristic polynomial against sympy, and the square-free factors read
 off the cycle lengths against sympy's factors of the characteristic
 polynomial, also on maps drawn by cycle type; on hostile left stochastic
 matrices: the integer greedy decomposition against a Fraction reference, and
-the verifier on its output;
+the verifier on its output; on corrupted decompositions of seeded matrices:
+the one-pass verifier against the full walk it replaced;
 and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, its block scan of writer-form text against the
 comprehension it bypasses and, on edited writer-form texts, against the
@@ -19,6 +20,7 @@ product many levels deep, and the seeded decomposition sweep (denominators up to
 
 import json
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from plmonoid import (
     Decomposition,
+    DimensionMismatchError,
     MatrixParseError,
     NotLeftStochasticError,
     NotPlmError,
@@ -38,15 +41,18 @@ from plmonoid import (
     classify,
     decompose,
     from_dense,
+    identity,
     multiply,
     periodicity,
     permute_columns,
     permute_rows,
     power_cycle,
+    random_left_stochastic,
     structural_multiply,
     to_dense,
 )
 from plmonoid import core
+from plmonoid.core import _trusted
 from plmonoid.formats import (
     _numbered_lines,
     _parse_dim,
@@ -60,6 +66,7 @@ from plmonoid.formats import (
     stochastic_to_text,
 )
 from plmonoid.spectral import _graph, _squarefree_factors
+from plmonoid.stochastic import _accumulate, _int_columns, _scaled
 from plmonoid.verify import oracle_multiply
 
 MAX_D = 12
@@ -427,6 +434,165 @@ def test_decomposition_json_round_trip(m):
     dec = decompose(m)
     again = decomposition_from_json_dict(json.loads(dumps_compact(dec.to_json_dict())))
     assert again.terms == dec.terms
+
+
+# --- the verifier against its full walk -----------------------------------------
+
+
+def full_walk_check(m: StochasticMatrix, dec: Decomposition) -> list[str]:
+    """Re-verify ``dec`` as a decomposition of ``m`` from its terms alone.
+
+    Returns the problems found, in this order, or an empty list:
+    ``recompose mismatch``, ``weights do not sum to 1``, ``weight outside
+    (0, 1]``, ``too many terms``, then the first fault of the remainder walk,
+    which subtracts the terms from ``m`` one by one and recounts every entry
+    after each: ``negative remainder entry``, ``zero count did not grow`` or
+    ``non-uniform column sums``, else ``nonzero final remainder`` if the walk
+    ends on a nonzero remainder.  Everything runs on ints scaled by the least
+    common multiple of all denominators.  The terms are not trusted to satisfy
+    :class:`Decomposition`'s own validation.  Raises
+    :class:`DimensionMismatchError` when a term's dimension differs from
+    ``m``'s.
+    """
+    # check_decomposition as it was before its walk became one pass, kept
+    # as the reference: it recomposes up front, keeps a running weight total
+    # and recounts every entry and every column sum after each term.
+    d = m.dim
+    for _, p in dec.terms:
+        if p.dim != d:
+            raise DimensionMismatchError(f"term dims {p.dim} != {d}")
+    scale = lcm(
+        *[x.denominator for row in m.entries for x in row],
+        *[lam.denominator for lam, _ in dec.terms],
+    )
+    cols = _int_columns(m, scale)
+    weights = _scaled([lam for lam, _ in dec.terms], scale)
+    colmaps = [p.colmap for _, p in dec.terms]
+    problems = []
+    if _accumulate(weights, colmaps, d) != cols:
+        problems.append("recompose mismatch")
+    if sum(weights) != scale:
+        problems.append("weights do not sum to 1")
+    if not all(0 < w <= scale for w in weights):
+        problems.append("weight outside (0, 1]")
+    if len(weights) > d * d:
+        problems.append("too many terms")
+    zeros = sum(col.count(0) for col in cols)
+    running = sum(weights)
+    for w, cm in zip(weights, colmaps):
+        for col, r in zip(cols, cm):
+            col[r - 1] -= w
+        running -= w
+        if min(map(min, cols)) < 0:
+            problems.append("negative remainder entry")
+            break
+        new_zeros = sum(col.count(0) for col in cols)
+        if new_zeros <= zeros:
+            problems.append("zero count did not grow")
+            break
+        zeros = new_zeros
+        if list(map(sum, cols)).count(running) != d:
+            problems.append("non-uniform column sums")
+            break
+    else:
+        if any(map(any, cols)):
+            problems.append("nonzero final remainder")
+    return problems
+
+
+# Each corruption takes ``draw``, the terms as a list of (weight, Plm) pairs
+# and the matrix's entries as a list of row lists, and edits one of them.
+def drop_term(draw, terms, rows):
+    if terms:
+        del terms[draw(st.integers(0, len(terms) - 1))]
+
+
+def duplicate_term(draw, terms, rows):
+    if terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        terms.insert(draw(st.integers(0, len(terms))), terms[i])
+
+
+def reorder_terms(draw, terms, rows):
+    terms[:] = draw(st.permutations(terms))
+
+
+def move_a_one(draw, terms, rows):
+    # One column of one term gets its 1 in another row (or the same one).
+    if terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        lam, p = terms[i]
+        cm = list(p.colmap)
+        cm[draw(st.integers(0, p.dim - 1))] = draw(st.integers(1, p.dim))
+        terms[i] = (lam, Plm(tuple(cm)))
+
+
+def small_fraction():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 1000))
+
+
+def nudge_weight(draw, terms, rows):
+    if terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        terms[i] = (terms[i][0] + draw(small_fraction()), terms[i][1])
+
+
+def zero_weight(draw, terms, rows):
+    if terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        terms[i] = (Fraction(0), terms[i][1])
+
+
+def empty_terms(draw, terms, rows):
+    terms.clear()
+
+
+def nudge_entry(draw, terms, rows):
+    # One entry of the matrix moves, so its column's sum leaves the others'.
+    d = len(rows)
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    rows[i][j] = max(rows[i][j] + draw(small_fraction()), Fraction(0))
+
+
+def foreign_term(draw, terms, rows):
+    # A term of another dimension: both verifiers raise.
+    if terms:
+        terms[draw(st.integers(0, len(terms) - 1))] = (Fraction(1), identity(len(rows) + 1))
+
+
+CORRUPTIONS = (
+    drop_term, duplicate_term, reorder_terms, move_a_one, nudge_weight, zero_weight,
+    empty_terms, nudge_entry, foreign_term,
+)
+
+
+@st.composite
+def corrupted_decompositions(draw):
+    """A seeded random left stochastic matrix with d <= 8 and its greedy
+    decomposition, after up to three corruptions drawn from CORRUPTIONS, with
+    the decomposition built without its own validation."""
+    d = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32))
+    m = random_left_stochastic(d, seed, draw(st.sampled_from((1, 2, 10, 1000))))
+    terms = list(decompose(m).terms)
+    rows = [list(row) for row in m.entries]
+    for corruption in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3)):
+        corruption(draw, terms, rows)
+    return StochasticMatrix(tuple(map(tuple, rows))), _trusted(Decomposition, terms=tuple(terms))
+
+
+def verdict(check, m, dec):
+    try:
+        return check(m, dec)
+    except DimensionMismatchError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(corrupted_decompositions())
+def test_verifier_matches_its_full_walk(case):
+    m, dec = case
+    assert verdict(check_decomposition, m, dec) == verdict(full_walk_check, m, dec)
 
 
 # --- matrix text ---------------------------------------------------------------

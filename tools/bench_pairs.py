@@ -15,8 +15,9 @@ the change reads better in the direction BENCHMARK.json gives (ties count
 for neither side).  It also holds the metric's BENCHMARK.json ``bound`` and
 ``within_bound``, false when the change's median is worse than the parent's
 by more than that bound, as a share of the parent's median; a line is
-printed for each metric outside its bound, and the line of ``peak_rss_mb``
-also gives each side's median ``latency_samples``.  The record is stored
+printed for each metric outside its bound.  ``peak_rss_mb`` also holds, and
+its printed line gives, each side's median ``latency_samples``
+(``latency_samples_median``).  The record is stored
 under the key ``NAME_pairs`` of the OUT file, next to whatever else that
 file holds.
 Exits 1 if a run fails, is incorrect or has failed cases.
@@ -117,6 +118,10 @@ def summarize_pairs(seeds: list[int], runs: dict, metrics: dict) -> dict:
         worse_by = sign * (1 - stats["change_over_parent"])
         stats["bound"] = spec["bound"]
         stats["within_bound"] = worse_by <= spec["bound"]
+        if name == "peak_rss_mb":
+            stats["latency_samples_median"] = {
+                side: statistics.median(record["latency_samples"][side]) for side in SIDES
+            }
         record["metrics"][name] = stats
     return record
 
@@ -129,7 +134,7 @@ def pair_line(record: dict, name: str) -> str:
     line = (f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
             f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(record['seeds'])}")
     if name == "peak_rss_mb":
-        samples = {side: statistics.median(record["latency_samples"][side]) for side in SIDES}
+        samples = s["latency_samples_median"]
         line += f"  latency_samples parent {samples['parent']:g}  change {samples['change']:g}"
     return line
 
