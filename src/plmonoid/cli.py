@@ -126,6 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="split each sweep over N chunks, run in at most as many processes as CPUs;"
+        " the report does not depend on N",
+    )
     return parser
 
 
@@ -193,17 +201,19 @@ def cmd_enumerate(args) -> int:
 
 # Sweep name -> run it from the parsed arguments; ``all`` runs them in this order.
 SWEEPS = {
-    "mul": lambda args: sweep_multiplication(args.d),
-    "period": lambda args: sweep_period(args.d),
-    "eigen": lambda args: sweep_eigen(args.d, tol=args.tol),
-    "prerow": lambda args: sweep_prerow(args.d),
-    "decompose": lambda args: sweep_decompose(args.d, n_cases=args.cases, seed=args.seed),
+    "mul": lambda args: sweep_multiplication(args.d, workers=args.workers),
+    "period": lambda args: sweep_period(args.d, workers=args.workers),
+    "eigen": lambda args: sweep_eigen(args.d, tol=args.tol, workers=args.workers),
+    "prerow": lambda args: sweep_prerow(args.d, workers=args.workers),
+    "decompose": lambda args: sweep_decompose(
+        args.d, n_cases=args.cases, seed=args.seed, workers=args.workers
+    ),
 }
 
 
 def cmd_verify(args) -> int:
     check_tol(args.tol, "--tol")
-    check_sweep_args(args.d, args.cases)
+    check_sweep_args(args.d, args.cases, args.workers)
     names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
     reports = [SWEEPS[name](args) for name in names]
     for report in reports:

@@ -24,6 +24,7 @@ internal tuple positions are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidArgumentError, NotCplmError, NotPlmError
@@ -166,9 +167,11 @@ class Plm:
 
 
 def _plm_trusted(cm: tuple[int, ...]) -> Plm:
-    # _trusted for Plm, written out: see there.
+    # _trusted for Plm, written out: see there.  The field goes straight into
+    # the instance __dict__, which a frozen dataclass reads as object.__setattr__
+    # would have set it, at about two thirds of the cost.
     a = object.__new__(Plm)
-    object.__setattr__(a, "colmap", cm)
+    a.__dict__["colmap"] = cm
     return a
 
 
@@ -308,7 +311,10 @@ def multiply(a: Plm, b: Plm) -> Plm:
     am, bm = a.colmap, b.colmap
     if len(am) != len(bm):
         raise DimensionMismatchError(f"dims {len(am)} != {len(bm)}")
-    return _plm_trusted(tuple([am[r - 1] for r in bm]))
+    if len(bm) == 1:  # itemgetter of one index returns the item, not a tuple
+        return _plm_trusted(am)
+    # Entry r of (0,) + am is am[r - 1], so this picks column bm[j] of a.
+    return _plm_trusted(itemgetter(*bm)((0,) + am))
 
 
 def permute_rows(sigma: Permutation, a: Plm) -> Plm:
@@ -372,7 +378,11 @@ def _classify(cm, one: int = 1) -> tuple[str, object]:
 
 def _free_row(cm, one: int = 1) -> int:
     # The smallest row from label ``one`` on that is zero throughout the
-    # columns after the first.
+    # columns after the first.  Row ``one`` is free when its only 1, if any,
+    # is in the first column; that is the common case, so it is tested
+    # without building the set.
+    if cm.count(one) == (cm[0] == one):
+        return one
     hit = set(cm[1:])
     r = one
     while r in hit:
@@ -510,10 +520,11 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
     # the relabel (one r) that makes a a CPLM; then an IPLM b gives the rest
     # of the product by the block step, and a CPLM or PCPLM b (its lone
     # first-row 1 swapped into column k+1) gives product column k+1.  Then
-    # a[1:] and b[1:] avoid row one, so they are the PLCs as they stand.
-    # The relabels are composed into one label map pi (built at the first
-    # one) and applied to each product entry as it is written, so the way
-    # back only undoes the column swaps, latest first.
+    # a[1:] and b[1:] avoid row one, so they are the PLCs as they stand (b,
+    # a list copy of bm, drops its first entry in place).  The relabels are
+    # composed into one label map pi (built at the first one) and applied to
+    # each product entry as it is written, so the way back only undoes the
+    # column swaps, latest first.
     a, b = am, list(bm)
     out = []  # product columns 1..k
     pi = None
@@ -546,7 +557,8 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
         # a is canonical.
         first = a[b[0] - one]
         out.append(pi[first] if pi else first)
-        a, b = a[1:], b[1:]
+        a = a[1:]
+        del b[0]
         one += 1
     out += [pi[x] for x in prod] if pi else prod
     for i, j in reversed(swaps):

@@ -26,7 +26,7 @@ import json
 
 from .core import Plm, _plm_of_nonzeros, _require_ints
 from .errors import MatrixParseError, NotPlmError
-from .stochastic import Decomposition, StochasticMatrix, _fraction
+from .stochastic import Decomposition, StochasticMatrix, _fraction, _text
 
 
 def _numbered_lines(text: str):
@@ -174,7 +174,13 @@ def parse_stochastic_text(text: str, path: str = "<input>") -> StochasticMatrix:
 
 
 def stochastic_to_text(m: StochasticMatrix) -> str:
-    lines = [str(m.dim)] + [" ".join(str(x) for x in row) for row in m.entries]
+    """The text :func:`parse_stochastic_text` reads back.  Raises
+    :class:`PlmError` naming the entry when a value has more digits than
+    ``sys.get_int_max_str_digits()`` allows."""
+    lines = [str(m.dim)] + [
+        " ".join(_text(x, f"the entry at row {i}, column {j}") for j, x in enumerate(row, 1))
+        for i, row in enumerate(m.entries, 1)
+    ]
     return "\n".join(lines) + "\n"
 
 

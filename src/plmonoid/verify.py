@@ -20,7 +20,9 @@ routes.
 from __future__ import annotations
 
 import itertools
+import os
 import time
+from operator import attrgetter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +48,8 @@ from .stochastic import check_decomposition, decompose, random_left_stochastic
 
 RANDOM_MAX_DENOMINATOR = 1000
 
+_colmap = attrgetter("colmap")
+
 
 def plm_from_index(d: int, index: int) -> Plm:
     """The index-th PLM of dimension d in lexicographic column-map order."""
@@ -65,13 +69,15 @@ def _plms(d: int, start: int = 0, stop: int | None = None):
     return (_plm_trusted(cm) for cm in itertools.islice(walk, start, stop))
 
 
-def check_sweep_args(d: int, n_cases: int = 0) -> None:
-    """Raise :class:`InvalidArgumentError` unless ``d`` is an int >= 1 and
-    ``n_cases`` an int >= 0."""
+def check_sweep_args(d: int, n_cases: int = 0, workers: int = 1) -> None:
+    """Raise :class:`InvalidArgumentError` unless ``d`` is an int >= 1,
+    ``n_cases`` an int >= 0 and ``workers`` an int >= 1."""
     _require_dim(d)
-    _require_ints(n_cases=n_cases)
+    _require_ints(n_cases=n_cases, workers=workers)
     if n_cases < 0:
         raise InvalidArgumentError(f"case count {n_cases} must be >= 0")
+    if workers < 1:
+        raise InvalidArgumentError(f"worker count {workers} must be >= 1")
 
 
 def enumerate_plms(d: int) -> list[Plm]:
@@ -84,13 +90,15 @@ def oracle_multiply(a, b):
     """Textbook integer matrix product; independent of column-map composition.
 
     Takes two :class:`DenseBinaryMatrix` operands and returns their product as
-    one; raises ``ValueError`` naming the first entry above 1 (row-major,
-    1-based) when the product is not a 0/1 matrix.  The multiplication sweep
-    passes square int arrays instead (its stacked dense forms) and gets the
-    int array product back, unchecked.
+    one, computed by ``np.matmul`` on int64 arrays; raises ``ValueError``
+    naming the first entry above 1 (row-major, 1-based) when the product is
+    not a 0/1 matrix.  The multiplication sweep passes square int64 arrays
+    instead (its dense forms) and gets their product back unchecked, as
+    ``a.dot(b)``: the same integer sum of row-by-column products, with less
+    call overhead than ``np.matmul`` on small arrays.
     """
     if not isinstance(a, DenseBinaryMatrix):
-        return np.matmul(a, b)
+        return a.dot(b)
     if a.dim != b.dim:
         raise ValueError(f"dims {a.dim} != {b.dim}")
     rows_a = np.array(a.entries, dtype=np.int64)
@@ -131,14 +139,15 @@ class SweepReport:
 
 
 def _chunks(total: int, workers: int):
+    # min(workers, total) spans of near-equal size that cover 0..total, in
+    # order; one empty span when total is 0.
     n = max(1, min(workers, total))
     size, extra = divmod(total, n)
     start = 0
     out = []
     for k in range(n):
         stop = start + size + (1 if k < extra else 0)
-        if stop > start:
-            out.append((start, stop))
+        out.append((start, stop))
         start = stop
     return out
 
@@ -148,21 +157,22 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
 
     Each chunk returns ``(failures, part)``.  Failures concatenate, and the
     parts go to ``findings(parts)``, in ascending chunk order, so the report
-    does not depend on the worker count.  Raises
+    does not depend on the worker count.  The pool runs at most
+    ``os.cpu_count()`` processes, whatever the number of chunks.  Raises
     :class:`InvalidArgumentError` through :func:`check_sweep_args` for a bad
-    ``d`` or ``total``.
+    ``d``, ``total`` or ``workers``, before any process starts.
     """
-    check_sweep_args(d, total)
+    check_sweep_args(d, total, workers)
     t0 = time.perf_counter()
-    if workers <= 1:
+    spans = _chunks(total, workers)
+    if len(spans) == 1:
         results = [chunk(*args, 0, total)]
     else:
         # Imported here: it loads multiprocessing, about 1.4 MB of resident
         # memory that every single-worker caller, the CLI included, would pay.
         from concurrent.futures import ProcessPoolExecutor
 
-        spans = _chunks(total, workers)
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(chunk, *args, start, stop) for start, stop in spans]
             results = [f.result() for f in futures]
     return SweepReport(
@@ -192,7 +202,7 @@ def _oracle_colmaps(products) -> list[tuple[int, ...]]:
     if not (((products == 0) | (products == 1)).all() and (products.sum(axis=1) == 1).all()):
         for p in products:
             from_dense(p.tolist())
-    return [tuple(cm) for cm in (products.argmax(axis=1) + 1).tolist()]
+    return list(map(tuple, (products.argmax(axis=1) + 1).tolist()))
 
 
 def _mul_chunk(d: int, start: int, stop: int):
@@ -201,27 +211,31 @@ def _mul_chunk(d: int, start: int, stop: int):
     denses = list(np.array([to_dense(p).entries for p in elems], dtype=np.int64))
     failures = []
     # One left operand at a time; the chunk may start or end inside a row.
-    # The oracle stays one call per pair, as the benchmark's trace counts it;
-    # its products are checked and read once per row.
+    # Each route is still called once per pair, through its public name, as
+    # the benchmark's trace counts it, but a row's three lists of column maps
+    # are compared at once, and the row is walked pair by pair only when they
+    # differ, so the failure records come out as a pairwise walk gives them.
     for i in range(start // n, -(-stop // n)):
         j0, j1 = max(start - i * n, 0), min(stop - i * n, n)
         a, dense_a = elems[i], denses[i]
-        oracle = _oracle_colmaps(
-            np.stack([oracle_multiply(dense_a, denses[j]) for j in range(j0, j1)])
+        row = elems[j0:j1]
+        via_oracle = _oracle_colmaps(
+            np.array(list(map(oracle_multiply, itertools.repeat(dense_a), denses[j0:j1])))
         )
-        for j, via_oracle in zip(range(j0, j1), oracle):
-            b = elems[j]
-            via_compose = multiply(a, b).colmap
-            via_structure = structural_multiply(a, b).colmap
-            if not (via_compose == via_structure == via_oracle):
+        via_compose = list(map(_colmap, map(multiply, itertools.repeat(a), row)))
+        via_structure = list(map(_colmap, map(structural_multiply, itertools.repeat(a), row)))
+        if via_compose == via_structure == via_oracle:
+            continue
+        for j, b, c, s, o in zip(range(j0, j1), row, via_compose, via_structure, via_oracle):
+            if not (c == s == o):
                 failures.append(
                     {
                         "index": i * n + j,
                         "a": list(a.colmap),
                         "b": list(b.colmap),
-                        "multiply": list(via_compose),
-                        "structural": list(via_structure),
-                        "oracle": list(via_oracle),
+                        "multiply": list(c),
+                        "structural": list(s),
+                        "oracle": list(o),
                     }
                 )
     return failures, None
@@ -392,11 +406,12 @@ def _decompose_chunk(d: int, seed: int, start: int, stop: int):
     return failures, max_terms
 
 
-def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
+def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0, workers: int = 1) -> SweepReport:
     """Random left stochastic matrices: decompose, then re-verify everything
     from the output alone with :func:`check_decomposition` (round trip, weight
     sum, term bound, and the step-by-step remainder walk).  ``seed`` must be
-    an int: the report carries it."""
+    an int: the report carries it.  Each case's matrix comes from its own
+    seed, so the report does not depend on ``workers``."""
     _require_ints(seed=seed)
     return _sweep(
         "decompose",
@@ -405,4 +420,5 @@ def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0) -> SweepReport:
         _decompose_chunk,
         (d, seed),
         lambda parts: {"max_terms": max(parts), "term_bound": d * d, "seed": seed},
+        workers,
     )

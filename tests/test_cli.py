@@ -362,7 +362,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, digest",
         [
+            ("mul 2", "604c2badafd4cac6151c97c65f9ae9a4d27258603584159adb108fe4b269a9bf"),
             ("mul 3", "7adede5d99b5b5714303d49c7ab4f9b4ff0e26b55b4a47fc14909417b33191eb"),
+            ("mul 4", "0aaf84d3bdf9206b67d7b310fb253d74b4b874e56813a5a8bd4ea981175a5f1f"),
             ("period 4", "824fe379bf3aee93705bac8fa730f92e1a24898bc59033d04d33a75cbc1f7ab2"),
             ("eigen 3", "a0d1e5f0813e4812d7cd74fd743980872e8a5256c7728100b3d7837246f640b9"),
             ("eigen 4", "47843462e67d20a05064b223b04d67d58dcf7b694474e67ee5195d0b963f4859"),
@@ -378,6 +380,12 @@ class TestVerify:
         code, out, _ = run("verify", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", ["mul 3", "decompose 4 --cases 20", "all 3"])
+    def test_worker_count_does_not_change_the_report(self, run, argv):
+        code, serial, _ = run("verify", *argv.split(), "--workers", "1")
+        assert code == 0
+        assert run("verify", *argv.split(), "--workers", "2")[:2] == (0, serial)
 
     def test_report_bytes_stable_across_runs(self, run):
         _, first, _ = run("verify", "eigen", "3")
@@ -422,6 +430,8 @@ class TestVerify:
             ],
             (("verify", "mul", "-1"), "dimension -1 must be >= 1"),
             (("verify", "decompose", "2", "--cases", "-1"), "case count -1 must be >= 0"),
+            (("verify", "mul", "3", "--workers", "0"), "worker count 0 must be >= 1"),
+            (("verify", "all", "2", "--workers", "-1"), "worker count -1 must be >= 1"),
             (("enumerate", "0"), "dimension 0 must be >= 1"),
             (("enumerate", "9"), "d=9 means 9**9 lines; pass --force to insist"),
             (("eigen", "i.txt", "--tol", "nan"), "--tol must be finite, got nan"),

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from plmonoid import MatrixParseError, NotLeftStochasticError, Plm, identity, row_plm
+from plmonoid import (
+    MatrixParseError,
+    NotLeftStochasticError,
+    Plm,
+    PlmError,
+    identity,
+    row_plm,
+)
 from plmonoid.formats import (
     decomposition_from_json_dict,
     dumps_compact,
@@ -19,7 +26,7 @@ from plmonoid.formats import (
     plm_to_text,
     stochastic_to_text,
 )
-from plmonoid.stochastic import StochasticMatrix, decompose
+from plmonoid.stochastic import StochasticMatrix, convex_combine, decompose
 from plmonoid.verify import enumerate_plms
 
 F = Fraction
@@ -199,6 +206,20 @@ class TestParseStochastic:
 
     def test_round_trip(self):
         assert parse_stochastic_text(stochastic_to_text(B)).entries == B.entries
+
+    def test_entry_past_the_int_digit_limit_is_a_plm_error(self):
+        # A legal matrix: entry (1, 1) is 1/p + 1/q, whose denominator pq has
+        # 6,001 digits, past the 4,300 str() allows by default.
+        p, q = 10**3000 + 1, 10**3000 + 3
+        m = convex_combine(
+            (
+                (F(1, p), Plm((1, 1))),
+                (F(1, q), Plm((1, 1))),
+                (1 - F(1, p) - F(1, q), Plm((2, 2))),
+            )
+        )
+        with pytest.raises(PlmError, match="^cannot write the entry at row 1, column 1: "):
+            stochastic_to_text(m)
 
     def test_bad_token(self):
         with pytest.raises(MatrixParseError) as err:

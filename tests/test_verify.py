@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,75 @@ def test_chunks_partition_the_range():
             spans = _chunks(total, workers)
             flat = [k for start, stop in spans for k in range(start, stop)]
             assert flat == list(range(total))
+            assert len(spans) == min(workers, total)
+    assert _chunks(0, 3) == [(0, 0)]
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    each submitted call at once, in this process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    import concurrent.futures
+
+    InlinePool.created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    return InlinePool.created
+
+
+def test_pool_never_exceeds_the_cpu_count(inline_pool):
+    # 100,000 workers at d = 2 make 16 one-pair chunks but two processes.
+    serial = stable_bytes(sweep_multiplication(2))
+    assert stable_bytes(sweep_multiplication(2, workers=100_000)) == serial
+    assert inline_pool == [2]
+    sweep_period(3, workers=3)
+    assert inline_pool == [2, 2]
+
+
+def test_one_chunk_runs_without_a_pool(inline_pool):
+    r = sweep_decompose(3, n_cases=0, workers=4)
+    assert (r.cases, r.failures, r.findings["max_terms"]) == (0, [], 0)
+    sweep_decompose(3, n_cases=1, workers=4)
+    assert inline_pool == []
+
+
+@pytest.mark.parametrize(
+    "workers, message",
+    [
+        (0, "^worker count 0 must be >= 1$"),
+        (-2, "^worker count -2 must be >= 1$"),
+        (2.5, "^workers must be an int, not 2.5$"),
+        (True, "^workers must be an int, not True$"),
+        ("2", "^workers must be an int, not '2'$"),
+    ],
+)
+@pytest.mark.parametrize(
+    "sweep",
+    [sweep_multiplication, sweep_period, sweep_eigen, sweep_prerow, sweep_decompose],
+    ids=lambda f: f.__name__,
+)
+def test_bad_worker_counts_are_refused_before_any_pool(inline_pool, sweep, workers, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        sweep(2, workers=workers)
+    assert inline_pool == []
 
 
 class TestMultiplicationSweep:
@@ -170,6 +240,54 @@ class TestMultiplicationSweep:
         cuts = [0, 1, 40, 100, 364, 700, 728, 729]
         parts = [f for start, stop in zip(cuts, cuts[1:]) for f in _mul_chunk(3, start, stop)[0]]
         assert parts == whole
+
+    @pytest.mark.parametrize(
+        "route, name",
+        [
+            ("multiply", "multiply"),
+            ("structural", "structural_multiply"),
+            ("oracle", "oracle_multiply"),
+        ],
+    )
+    def test_each_route_is_checked_on_its_own(self, monkeypatch, route, name):
+        # A row's three lists are compared at once; a wrong product from any
+        # one route must still come out as the one record of its pair.
+        a, b, wrong = Plm((2, 1, 3)), Plm((1, 3, 3)), Plm((1, 1, 1))
+        right = list(verify.multiply(a, b).colmap)
+        real = getattr(verify, name)
+        if route == "oracle":
+            dense_a, dense_b = (np.array(to_dense(p).entries) for p in (a, b))
+            bad = np.array(to_dense(wrong).entries)
+
+            def is_bad(x, y):
+                return np.array_equal(x, dense_a) and np.array_equal(y, dense_b)
+        else:
+            bad = wrong
+
+            def is_bad(x, y):
+                return (x, y) == (a, b)
+
+        monkeypatch.setattr(verify, name, lambda x, y: bad if is_bad(x, y) else real(x, y))
+        elems = enumerate_plms(3)
+        records = {"multiply": right, "structural": right, "oracle": right, route: [1, 1, 1]}
+        assert sweep_multiplication(3).failures == [
+            {
+                "index": elems.index(a) * 27 + elems.index(b),
+                "a": [2, 1, 3],
+                "b": [1, 3, 3],
+                **records,
+            }
+        ]
+
+    def test_d5_slice_within_budget(self):
+        # 200,000 of the 9,765,625 pairs at d = 5, the first 64 left operands
+        # and part of the 65th: 2.3-3.2 s measured on a 2-CPU x86-64 VM
+        # (Python 3.11), so the budget is three times the slowest reading.
+        t0 = time.perf_counter()
+        failures, _ = _mul_chunk(5, 0, 200_000)
+        elapsed = time.perf_counter() - t0
+        assert failures == []
+        assert elapsed < 10.0, f"d = 5 slice took {elapsed:.2f} s (budget 10 s)"
 
 
 class TestPeriodSweep:
@@ -328,6 +446,10 @@ class TestReportStability:
         assert stable_bytes(sweep_multiplication(2, workers=1)) == stable_bytes(
             sweep_multiplication(2, workers=3)
         )
+
+    def test_decompose_sweep_worker_invariance(self):
+        serial = stable_bytes(sweep_decompose(3, n_cases=10, seed=1))
+        assert stable_bytes(sweep_decompose(3, n_cases=10, seed=1, workers=2)) == serial
 
     def test_multiplication_sweep_d3_worker_invariance(self):
         # two workers split the 729 pairs inside a row of 27
