@@ -168,8 +168,8 @@ class Plm:
 
 def _plm_trusted(cm: tuple[int, ...]) -> Plm:
     # _trusted for Plm, written out: see there.  The field goes straight into
-    # the instance __dict__, which a frozen dataclass reads as object.__setattr__
-    # would have set it, at about two thirds of the cost.
+    # the instance __dict__, where object.__setattr__ would put it, without
+    # the cost of that call.
     a = object.__new__(Plm)
     a.__dict__["colmap"] = cm
     return a

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from operator import attrgetter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
