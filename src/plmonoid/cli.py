@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="split each sweep over N chunks, run in at most as many processes as CPUs;"
-        " the report does not depend on N",
+        help="split each sweep over N chunks, one process each; N above the CPU count"
+        " is cut to it; the report does not depend on N",
     )
     return parser
 

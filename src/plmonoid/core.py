@@ -378,11 +378,7 @@ def _classify(cm, one: int = 1) -> tuple[str, object]:
 
 def _free_row(cm, one: int = 1) -> int:
     # The smallest row from label ``one`` on that is zero throughout the
-    # columns after the first.  Row ``one`` is free when its only 1, if any,
-    # is in the first column; that is the common case, so it is tested
-    # without building the set.
-    if cm.count(one) == (cm[0] == one):
-        return one
+    # columns after the first.
     hit = set(cm[1:])
     r = one
     while r in hit:

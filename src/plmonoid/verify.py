@@ -4,7 +4,7 @@ Each sweep walks a deterministic index space (all PLMs of a dimension, all
 ordered pairs, or seeded random stochastic matrices), records failures and
 findings, and returns a :class:`SweepReport`.  One driver, :func:`_sweep`,
 runs them all: it times the sweep, splits the index space into chunks (one
-per worker), and calls the sweep's chunk function on each.  A chunk returns
+per worker, with no more workers than CPUs), and calls the sweep's chunk function on each.  A chunk returns
 ``(failures, part)``; the driver concatenates the failures and hands the
 parts to the sweep's merge step, both in ascending chunk order.  Reports are
 therefore reproducible: for a fixed dimension, tolerance, and seed the content
@@ -92,10 +92,11 @@ def oracle_multiply(a, b):
     Takes two :class:`DenseBinaryMatrix` operands and returns their product as
     one, computed by ``np.matmul`` on int64 arrays; raises ``ValueError``
     naming the first entry above 1 (row-major, 1-based) when the product is
-    not a 0/1 matrix.  The multiplication sweep passes square int64 arrays
-    instead (its dense forms) and gets their product back unchecked, as
-    ``a.dot(b)``: the same integer sum of row-by-column products, with less
-    call overhead than ``np.matmul`` on small arrays.
+    not a 0/1 matrix.  Any other ``a`` must be an ``np.ndarray``: the
+    multiplication sweep passes square int64 arrays (its dense forms) and
+    gets their product back unchecked, as ``a.dot(b)``: the same integer sum
+    of row-by-column products, with less call overhead than ``np.matmul`` or
+    ``np.dot`` on small arrays.  Nested lists are not accepted there.
     """
     if not isinstance(a, DenseBinaryMatrix):
         return a.dot(b)
@@ -157,14 +158,17 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
 
     Each chunk returns ``(failures, part)``.  Failures concatenate, and the
     parts go to ``findings(parts)``, in ascending chunk order, so the report
-    does not depend on the worker count.  The pool runs at most
-    ``os.cpu_count()`` processes, whatever the number of chunks.  Raises
+    does not depend on the worker count.  A worker count above
+    ``os.cpu_count()`` is cut to it before the range is split, so there is
+    one chunk, and one process, per worker that runs.  Raises
     :class:`InvalidArgumentError` through :func:`check_sweep_args` for a bad
     ``d``, ``total`` or ``workers``, before any process starts.
     """
     check_sweep_args(d, total, workers)
     t0 = time.perf_counter()
-    spans = _chunks(total, workers)
+    # Each chunk rebuilds its sweep's operands, so a chunk per process, not
+    # per requested worker, keeps that set-up from multiplying.
+    spans = _chunks(total, min(workers, os.cpu_count() or 1))
     if len(spans) == 1:
         results = [chunk(*args, 0, total)]
     else:
@@ -172,7 +176,7 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
         # memory that every single-worker caller, the CLI included, would pay.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(chunk, *args, start, stop) for start, stop in spans]
             results = [f.result() for f in futures]
     return SweepReport(
