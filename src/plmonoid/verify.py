@@ -167,8 +167,12 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
     check_sweep_args(d, total, workers)
     t0 = time.perf_counter()
     # Each chunk rebuilds its sweep's operands, so a chunk per process, not
-    # per requested worker, keeps that set-up from multiplying.
-    spans = _chunks(total, min(workers, os.cpu_count() or 1))
+    # per requested worker, keeps that set-up from multiplying.  One worker
+    # skips os.cpu_count(), which reads the system's CPU list: a few
+    # microseconds that a caller running many one-case sweeps pays each time.
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    spans = _chunks(total, workers)
     if len(spans) == 1:
         results = [chunk(*args, 0, total)]
     else:
