@@ -4,12 +4,13 @@ Each sweep walks a deterministic index space (all PLMs of a dimension, all
 ordered pairs, or seeded random stochastic matrices), records failures and
 findings, and returns a :class:`SweepReport`.  One driver, :func:`_sweep`,
 runs them all: it times the sweep, splits the index space into chunks (one
-per worker, with no more workers than CPUs), and calls the sweep's chunk function on each.  A chunk returns
-``(failures, part)``; the driver concatenates the failures and hands the
-parts to the sweep's merge step, both in ascending chunk order.  Reports are
-therefore reproducible: for a fixed dimension, tolerance, and seed the content
-is identical across runs and across worker counts.  Only the measured elapsed
-time varies, so the stable serialization normalizes it to zero.
+per worker, with no more workers than CPUs), and calls the sweep's chunk
+function on each.  A chunk returns ``(failures, part)``; the driver
+concatenates the failures and hands the parts to the sweep's merge step, both
+in ascending chunk order.  Reports are therefore reproducible: for a fixed
+dimension, tolerance, and seed the content is identical across runs and
+across worker counts.  Only the measured elapsed time varies, so the stable
+serialization normalizes it to zero.
 
 The multiplication sweep is the heart: it checks composition multiply,
 structural multiply, and a textbook dense integer product against each other
