@@ -88,39 +88,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         return p
 
-    p = add("mul", "multiply two PLM files")
+    p = add("mul", cmd_mul, "multiply two PLM files")
     p.add_argument("a")
     p.add_argument("b")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON only")
     fmt.add_argument("--text", action="store_true", help="dense text only")
 
-    p = add("classify", "structural class of a PLM file")
+    p = add("classify", cmd_classify, "structural class of a PLM file")
     p.add_argument("matrix")
 
-    p = add("period", "periodicity verdict of a PLM file")
+    p = add("period", cmd_period, "periodicity verdict of a PLM file")
     p.add_argument("matrix")
 
-    p = add("eigen", "eigenvalue report of a PLM file")
+    p = add("eigen", cmd_eigen, "eigenvalue report of a PLM file")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = add("decompose", "decompose a left stochastic matrix file into PLMs")
+    p = add("decompose", cmd_decompose, "decompose a left stochastic matrix file into PLMs")
     p.add_argument("matrix")
     p.add_argument(
         "--check", action="store_true", help="re-verify the decomposition from its terms first"
     )
 
-    p = add("enumerate", "list all PLMs of a dimension as column-map lines")
+    p = add("enumerate", cmd_enumerate, "list all PLMs of a dimension as column-map lines")
     p.add_argument("d", type=int)
     p.add_argument("--force", action="store_true", help="allow d above 8")
 
-    p = add("verify", "run a verification sweep")
+    p = add("verify", cmd_verify, "run a verification sweep")
     p.add_argument("sweep", choices=[*SWEEPS, "all"])
     p.add_argument("d", type=int)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -229,17 +230,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-COMMANDS = {
-    "mul": cmd_mul,
-    "classify": cmd_classify,
-    "period": cmd_period,
-    "eigen": cmd_eigen,
-    "decompose": cmd_decompose,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call to ``main``, not at import, and shared by every
@@ -254,7 +244,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -262,9 +252,6 @@ def main(argv=None) -> int:
         # stdout at devnull so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DimensionMismatchError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ internal tuple positions are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -56,6 +56,18 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _json_fields(verdict) -> dict:
+    # Every field after ``kind`` that the verdict's factory set, so the
+    # factories stay the one home of which fields a kind has; a permutation
+    # is written as its images.
+    out = {}
+    for f in fields(verdict)[1:]:
+        value = getattr(verdict, f.name)
+        if value is not None:
+            out[f.name] = list(value.images) if isinstance(value, Permutation) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,11 @@ class Permutation:
 
 @dataclass(frozen=True)
 class DenseBinaryMatrix:
-    """Square 0/1 matrix as a tuple of row tuples.  No per-column constraint."""
+    """Square 0/1 matrix as a tuple of row tuples.  No per-column constraint.
+
+    Each entry must be the int 0 or 1: a bool or a float such as ``1.0``
+    equals one of them but is refused with ``ValueError``.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -132,8 +148,8 @@ class DenseBinaryMatrix:
             if len(row) != d:
                 raise ValueError(f"not square: {d} rows but a row of length {len(row)}")
             for x in row:
-                if x not in (0, 1):
-                    raise ValueError(f"entry {x!r} is not 0 or 1")
+                if type(x) is not int or x not in (0, 1):
+                    raise ValueError(f"entry {x!r} is not the int 0 or 1")
 
     @property
     def dim(self) -> int:
@@ -206,13 +222,7 @@ class PlmClass:
         return cls(kind="iplm")
 
     def to_json_dict(self) -> dict:
-        if self.kind == "rowplm":
-            return {"class": "rowplm", "m": self.m}
-        if self.kind == "cplm":
-            return {"class": "cplm", "leading": self.leading}
-        if self.kind == "pcplm":
-            return {"class": "pcplm", "tau": list(self.tau.images)}
-        return {"class": "iplm"}
+        return {"class": self.kind, **_json_fields(self)}
 
 
 @dataclass(frozen=True)
@@ -221,12 +231,26 @@ class CplmParts:
 
     ``leading`` is the (1,1) entry as 0/1, ``v`` holds rows 2..d of column 1,
     and ``plc`` is the (d-1)-dimensional PLM left after deleting row 1 and
-    column 1.
+    column 1.  Raises ``ValueError`` unless ``leading`` is the int 0 or 1,
+    ``plc`` a :class:`Plm` and ``v`` ``plc.dim`` ints, each 0 or 1, and
+    column 1 (``leading`` over ``v``) holds exactly one 1.
     """
 
     leading: int
     v: tuple[int, ...]
     plc: Plm
+
+    def __post_init__(self):
+        v = tuple(self.v)
+        object.__setattr__(self, "v", v)
+        if type(self.leading) is not int or self.leading not in (0, 1):
+            raise ValueError(f"leading entry {self.leading!r} is not the int 0 or 1")
+        if not isinstance(self.plc, Plm):
+            raise ValueError(f"plc {self.plc!r} is not a Plm")
+        if len(v) != self.plc.dim or any(type(x) is not int or x not in (0, 1) for x in v):
+            raise ValueError(f"v {v!r} is not {self.plc.dim} ints, each 0 or 1")
+        if self.leading + sum(v) != 1:
+            raise ValueError(f"column 1 holds {self.leading + sum(v)} ones, not exactly one")
 
     def assemble(self) -> Plm:
         """Rebuild the full CPLM from its parts."""
@@ -440,7 +464,9 @@ def cplm_parts(a: Plm) -> CplmParts:
     kind, detail = _classify(cm)
     if not (kind == "cplm" or (kind == "rowplm" and detail > 1)):
         raise NotCplmError(f"not canonical: colmap {cm}")
-    return CplmParts(leading=1 if cm[0] == 1 else 0, v=_tail(cm), plc=_plm_trusted(_plc(cm)))
+    return _trusted(
+        CplmParts, leading=1 if cm[0] == 1 else 0, v=_tail(cm), plc=_plm_trusted(_plc(cm))
+    )
 
 
 def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:

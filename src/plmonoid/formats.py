@@ -18,6 +18,12 @@ as that integer (``00``, ``+0`` and ``٠`` are zeros, ``01`` and ``+1`` are
 ones, ``1_0`` is ten).  Both paths end in the column check ``from_dense``
 uses.  The writer fills one buffer with ``0`` cells, sets one ``1`` per column
 and decodes it once.
+
+JSON is written with sorted keys and a final newline, on one line or, for
+reports, indented.  Both writers share one guard: an int with more digits
+than ``sys.get_int_max_str_digits()`` allows (a period can pass 4,300 digits
+for d in the millions) raises :class:`PlmError` naming the limit, which the
+``plm`` command turns into exit 2, in place of json's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import json
 
 from .core import Plm, _plm_of_nonzeros, _require_ints
 from .errors import MatrixParseError, NotPlmError
-from .stochastic import Decomposition, StochasticMatrix, _fraction, _text
+from .stochastic import Decomposition, StochasticMatrix, _fraction, _text, _too_long
 
 
 def _numbered_lines(text: str):
@@ -196,11 +202,20 @@ def decomposition_from_json_dict(obj: dict) -> Decomposition:
     return dec
 
 
+def _dumps(obj, indent: int | None = None) -> str:
+    # json writes an int with int.__repr__, which raises ValueError past
+    # sys.get_int_max_str_digits().
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+    except ValueError:
+        raise _too_long("an int in the report") from None
+
+
 def dumps_compact(obj) -> str:
     """One-line JSON with sorted keys, newline-terminated."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return _dumps(obj)
 
 
 def dumps_report(obj) -> str:
     """Indented JSON with sorted keys, newline-terminated; byte-stable."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _dumps(obj, indent=2)

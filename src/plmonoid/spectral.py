@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Plm, _plm_trusted, _require_ints, multiply, to_dense
+from .core import Plm, _json_fields, _plm_trusted, _require_ints, multiply, to_dense
 from .errors import InvalidArgumentError, RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -80,16 +80,7 @@ class PeriodicityVerdict:
         return cls(kind="eventually_periodic", s=s, t=t, is_prerow=False)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "periodic":
-            return {"periodicity": "periodic", "k": self.k, "is_prerow": self.is_prerow}
-        if self.kind == "prerow":
-            return {"periodicity": "prerow", "e": self.e, "m": self.m, "is_prerow": True}
-        return {
-            "periodicity": "eventually_periodic",
-            "s": self.s,
-            "t": self.t,
-            "is_prerow": False,
-        }
+        return {"periodicity": self.kind, **_json_fields(self)}
 
 
 @dataclass(frozen=True)
@@ -133,12 +124,12 @@ def power(a: Plm, k: int) -> Plm:
     return result
 
 
-def _graph(cm) -> tuple[int, list[int], int | None]:
+def _graph(cm) -> tuple[int, list[int], int | None, int]:
     # A's functional graph j -> cm[j - 1], peeled of its in-degree-0 nodes
     # round by round (Kahn's order).  The number of rounds is the longest path
     # from a node into a cycle.  Returns that, at least 1, the lengths of the
-    # cycles left, and the node of the one cycle when it is a lone fixed
-    # point, else None.  O(d).
+    # cycles left, the node of the one cycle when it is a lone fixed point,
+    # else None, and the lcm of the lengths.  O(d).
     indeg = [0] * (len(cm) + 1)
     for r in cm:
         indeg[r] += 1
@@ -158,7 +149,7 @@ def _graph(cm) -> tuple[int, list[int], int | None]:
         if n:
             lengths.append(n)
             m = j
-    return max(1, height), lengths, m if lengths == [1] else None
+    return max(1, height), lengths, m if lengths == [1] else None, math.lcm(*lengths)
 
 
 def power_cycle(a: Plm) -> PowerCycle:
@@ -169,8 +160,8 @@ def power_cycle(a: Plm) -> PowerCycle:
     the tail is the longest path into a cycle, at least 1, and the period the
     lcm of the cycle lengths.  One O(d) pass, whatever the period.
     """
-    tail, lengths, _ = _graph(a.colmap)
-    return PowerCycle(tail, math.lcm(*lengths))
+    tail, _, _, period = _graph(a.colmap)
+    return PowerCycle(tail, period)
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
@@ -181,8 +172,7 @@ def periodicity(a: Plm) -> PeriodicityVerdict:
     node's distance to m.  Then A is pre-row with e = s and that m, and with
     s = 1 the same test gives ``is_prerow``.
     """
-    s, lengths, m = _graph(a.colmap)
-    t = math.lcm(*lengths)
+    s, _, m, t = _graph(a.colmap)
     if s == 1:
         return PeriodicityVerdict.periodic(k=t, is_prerow=m is not None)
     if m is not None:
@@ -351,8 +341,7 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     certificate fails or the computed roots disagree with it.
     """
     check_tol(tol)
-    tail, lengths, _ = _graph(a.colmap)
-    period = math.lcm(*lengths)
+    tail, lengths, _, period = _graph(a.colmap)
     exact_ok = power(a, tail + period) == power(a, tail)
     cp = char_poly(a)
     factors = _squarefree_factors(a.dim, lengths)

@@ -99,13 +99,18 @@ def _text(x: Fraction, name: str | None = None) -> str:
     try:
         return str(x)
     except ValueError:
-        limit = _int_max_str_digits()
         if name is None:
-            return f"a value too long to print (more than {limit} digits)"
-        raise PlmError(
-            f"cannot write {name}: it has more than {limit} digits,"
-            " the limit sys.get_int_max_str_digits() sets"
-        ) from None
+            return f"a value too long to print (more than {_int_max_str_digits()} digits)"
+        raise _too_long(name) from None
+
+
+def _too_long(name: str) -> PlmError:
+    # The error for output that must hold a value, which ``name`` says, past
+    # the int-digit limit.
+    return PlmError(
+        f"cannot write {name}: it has more than {_int_max_str_digits()} digits,"
+        " the limit sys.get_int_max_str_digits() sets"
+    )
 
 
 @dataclass(frozen=True)

@@ -350,11 +350,12 @@ def _prerow_chunk(d: int, start: int, stop: int):
     row_plms = []
     records = []
     for a in _plms(d, start, stop):
-        if _classify(a.colmap)[0] == "rowplm":
-            row_plms.append(list(a.colmap))
-            continue
         verdict = periodicity(a)
         if verdict.kind != "prerow":
+            # A pre-row verdict of kind periodic has s = 1 and a lone fixed
+            # point, so the map is constant: a row PLM.
+            if verdict.is_prerow:
+                row_plms.append(list(a.colmap))
             continue
         _, canonical = canonicalize(a)
         records.append(

@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 
 from plmonoid import (
+    CplmParts,
     Decomposition,
     DenseBinaryMatrix,
     Permutation,
@@ -25,6 +26,7 @@ from plmonoid import (
     classify,
     cli,
     convex_combine,
+    cplm_parts,
     decompose,
     first_positive_plm,
     oracle_multiply,
@@ -58,6 +60,7 @@ SITES = [
     (Permutation, "canonicalize-transposition", lambda: canonicalize(A)[0]),
     (Permutation, "canonicalize-identity", lambda: canonicalize(Plm((1, 2, 3)))[0]),
     (DenseBinaryMatrix, "to_dense", lambda: to_dense(A)),
+    (CplmParts, "cplm_parts", lambda: cplm_parts(Plm((2, 3, 3)))),
     (DenseBinaryMatrix, "oracle_multiply", lambda: oracle_multiply(to_dense(A), to_dense(B))),
     (Plm, "power-identity", lambda: power(A, 0)),
     (Plm, "first_positive_plm", lambda: first_positive_plm(M)),
@@ -78,7 +81,7 @@ def test_site_builds_without_validating_again(cls, site):
 
     with mock.patch.object(cls, "__post_init__", refuse):
         built = site()
-    (field,) = dataclasses.fields(cls)
+    names = [field.name for field in dataclasses.fields(cls)]
     for value in built if isinstance(built, list) else [built]:
         assert type(value) is cls
-        assert value == cls(**{field.name: getattr(value, field.name)})
+        assert value == cls(**{name: getattr(value, name) for name in names})

@@ -171,6 +171,37 @@ class TestClassifyPeriodEigen:
         assert out == '{"is_prerow": false, "k": 58198140, "periodicity": "periodic"}\n'
         assert elapsed < 1.0
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-digit limit"
+    )
+    def test_period_past_the_int_digit_limit_exit_2(self, run, tmp_path):
+        # Cycles of the first 260 primes: d = 198,297 and a period above
+        # 10**700, past the smallest limit Python allows.  json.dumps raised
+        # ValueError with a traceback.
+        primes, n = [], 2
+        while len(primes) < 260:
+            if all(n % p for p in primes):
+                primes.append(n)
+            n += 1
+        cm, start = [], 1
+        for n in primes:
+            cm += [start + (i + 1) % n for i in range(n)]
+            start += n
+        path = tmp_path / "primes.txt"
+        path.write_text(plm_to_colmap_line(Plm(tuple(cm))) + "\n")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run("period", str(path))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert result == (
+            2,
+            "",
+            "error: cannot write an int in the report: it has more than 640 digits,"
+            " the limit sys.get_int_max_str_digits() sets\n",
+        )
+
     def test_eigen(self, run, files):
         code, out, _ = run("eigen", files["i.txt"])
         assert code == 0
@@ -506,6 +537,28 @@ class TestInputEncoding:
             b'{"class": "cplm", "leading": true}\n',
             b"",
         )
+
+
+def test_commands_run_without_the_test_extra(tmp_path):
+    # The installed `plm` needs numpy alone: none of the test extra's
+    # modules may be imported on the way through these commands.
+    path = tmp_path / "a.txt"
+    path.write_text(A_DENSE)
+    argvs = [["classify", str(path)], ["eigen", str(path)], ["verify", "mul", "2"]]
+    check = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from plmonoid import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    codes = [cli.main(argv) for argv in {argvs!r}]",
+            "print(codes, sorted({'sympy', 'hypothesis', 'pytest'} & set(sys.modules)))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(plmonoid.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0] []\n")
 
 
 def test_unknown_command_exit_2(run):

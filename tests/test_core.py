@@ -6,6 +6,7 @@ nothing is asserted that a second route does not confirm.
 """
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -440,6 +441,33 @@ class TestCplmParts:
             with pytest.raises(NotCplmError):
                 cplm_parts(bad)
 
+    @pytest.mark.parametrize(
+        "leading, v, plc, message",
+        [
+            (True, (0, 0), identity(2), r"^leading entry True is not the int 0 or 1$"),
+            (1.0, (0, 0), identity(2), r"^leading entry 1\.0 is not the int 0 or 1$"),
+            (2, (0, 0), identity(2), r"^leading entry 2 is not the int 0 or 1$"),
+            # Assembled to Plm((1, 2, 3)), dropping the extra entries.
+            (1, (1, 0, 0, 0), identity(2), r"^v \(1, 0, 0, 0\) is not 2 ints, each 0 or 1$"),
+            (0, (1,), identity(2), r"^v \(1,\) is not 2 ints, each 0 or 1$"),
+            (0, (0, 2), identity(2), r"^v \(0, 2\) is not 2 ints, each 0 or 1$"),
+            (0, (True, 0), identity(2), r"^v \(True, 0\) is not 2 ints, each 0 or 1$"),
+            (0, (1.0, 0), identity(2), r"^v \(1\.0, 0\) is not 2 ints, each 0 or 1$"),
+            (1, (0, 1), identity(2), r"^column 1 holds 2 ones, not exactly one$"),
+            # Ended in "tuple.index(x): x not in tuple" from assemble().
+            (0, (0, 0), identity(2), r"^column 1 holds 0 ones, not exactly one$"),
+            (0, (1, 0), (1, 2), r"^plc \(1, 2\) is not a Plm$"),
+        ],
+    )
+    def test_refuses_parts_that_are_not_a_cplm(self, leading, v, plc, message):
+        with pytest.raises(ValueError, match=message):
+            CplmParts(leading=leading, v=v, plc=plc)
+
+    def test_parts_from_the_caller_assemble(self):
+        parts = CplmParts(leading=0, v=[0, 1], plc=Plm((2, 2)))
+        assert parts.v == (0, 1)
+        assert parts.assemble() == Plm((3, 3, 3))
+
 
 class TestTailColumnBlock:
     def test_worked_example(self):
@@ -619,3 +647,10 @@ def test_dense_binary_matrix_validation():
         DenseBinaryMatrix(((0, 1),))
     m = DenseBinaryMatrix([[0, 1], [1, 0]])
     assert m.dim == 2 and m.entries == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("x", [1.0, True, np.int64(1)])
+def test_dense_binary_matrix_takes_exact_ints_only(x):
+    # These equal 1, so a value check alone let them in.
+    with pytest.raises(ValueError, match=rf"^entry {re.escape(repr(x))} is not the int 0 or 1$"):
+        DenseBinaryMatrix(((x, 0), (0, 1)))

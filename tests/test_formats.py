@@ -3,6 +3,7 @@ and the dense reader and writer at large d."""
 
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from plmonoid import (
     NotLeftStochasticError,
     Plm,
     PlmError,
+    classify,
     identity,
+    periodicity,
     row_plm,
 )
 from plmonoid.formats import (
@@ -268,3 +271,42 @@ def test_json_writers_are_stable():
     assert report.endswith("\n")
     assert report.index('"a"') < report.index('"b"')
     assert json.loads(report) == {"a": [1, 2], "b": 1}
+
+
+@pytest.mark.parametrize("dumps", [dumps_compact, dumps_report])
+def test_json_writers_name_the_int_digit_limit(dumps):
+    # json.dumps raised a bare ValueError for an int past the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-digit limit in force")
+    message = (
+        f"^cannot write an int in the report: it has more than {limit} digits,"
+        r" the limit sys\.get_int_max_str_digits\(\) sets$"
+    )
+    with pytest.raises(PlmError, match=message):
+        dumps({"period": 10**limit})
+
+
+def test_verdict_json_of_every_kind():
+    # The literal JSON object of one matrix of each classification and each
+    # periodicity kind, as `plm classify` and `plm period` write them.
+    cases = [
+        (Plm((2, 2, 2)), {"class": "rowplm", "m": 2},
+         {"periodicity": "periodic", "k": 1, "is_prerow": True}),
+        (Plm((1, 3, 2)), {"class": "cplm", "leading": True},
+         {"periodicity": "periodic", "k": 2, "is_prerow": False}),
+        (Plm((2, 3, 3)), {"class": "cplm", "leading": False},
+         {"periodicity": "prerow", "e": 2, "m": 3, "is_prerow": True}),
+        (Plm((2, 1, 2)), {"class": "pcplm", "tau": [2, 1, 3]},
+         {"periodicity": "periodic", "k": 2, "is_prerow": False}),
+        (Plm((1, 1, 2)), {"class": "iplm"},
+         {"periodicity": "prerow", "e": 2, "m": 1, "is_prerow": True}),
+        (Plm((2, 1, 1, 3)), {"class": "iplm"},
+         {"periodicity": "eventually_periodic", "s": 2, "t": 2, "is_prerow": False}),
+    ]
+    for a, shape, verdict in cases:
+        assert classify(a).to_json_dict() == shape
+        assert periodicity(a).to_json_dict() == verdict
+    kinds = {(classify(a).kind, periodicity(a).kind) for a, _, _ in cases}
+    assert {c for c, _ in kinds} == {"rowplm", "cplm", "pcplm", "iplm"}
+    assert {p for _, p in kinds} == {"periodic", "prerow", "eventually_periodic"}

@@ -360,7 +360,7 @@ class TestSquarefreeFactors:
         cm = cycle_permutation(cycles).colmap
         inv = {p: i for i, p in enumerate(pi, start=1)}
         a = Plm(tuple(pi[cm[inv[j] - 1] - 1] for j in range(1, d + 1)))
-        _, lengths, _ = _graph(a.colmap)
+        _, lengths, _, _ = _graph(a.colmap)
         assert sorted(lengths) == sorted(cycles)
         coeffs = char_poly(a).coefficients
         factors = _squarefree_factors(d, lengths)
