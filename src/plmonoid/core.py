@@ -23,7 +23,7 @@ internal tuple positions are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -59,15 +59,14 @@ def _trusted(cls, **fields):
 
 
 def _json_fields(verdict) -> dict:
-    # Every field after ``kind`` that the verdict's factory set, so the
+    # Every field but ``kind`` that the verdict's factory set, so the
     # factories stay the one home of which fields a kind has; a permutation
     # is written as its images.
-    out = {}
-    for f in fields(verdict)[1:]:
-        value = getattr(verdict, f.name)
-        if value is not None:
-            out[f.name] = list(value.images) if isinstance(value, Permutation) else value
-    return out
+    return {
+        name: list(value.images) if isinstance(value, Permutation) else value
+        for name, value in vars(verdict).items()
+        if name != "kind" and value is not None
+    }
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,9 @@ class CplmParts:
             raise ValueError(f"plc {self.plc!r} is not a Plm")
         if len(v) != self.plc.dim or any(type(x) is not int or x not in (0, 1) for x in v):
             raise ValueError(f"v {v!r} is not {self.plc.dim} ints, each 0 or 1")
-        if self.leading + sum(v) != 1:
-            raise ValueError(f"column 1 holds {self.leading + sum(v)} ones, not exactly one")
+        ones = self.leading + sum(v)
+        if ones != 1:
+            raise ValueError(f"column 1 holds {ones} ones, not exactly one")
 
     def assemble(self) -> Plm:
         """Rebuild the full CPLM from its parts."""
