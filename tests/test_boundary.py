@@ -60,8 +60,8 @@ SITES = [
     (Permutation, "canonicalize-transposition", lambda: canonicalize(A)[0]),
     (Permutation, "canonicalize-identity", lambda: canonicalize(Plm((1, 2, 3)))[0]),
     (DenseBinaryMatrix, "to_dense", lambda: to_dense(A)),
-    (CplmParts, "cplm_parts", lambda: cplm_parts(Plm((2, 3, 3)))),
     (DenseBinaryMatrix, "oracle_multiply", lambda: oracle_multiply(to_dense(A), to_dense(B))),
+    (CplmParts, "cplm_parts", lambda: cplm_parts(Plm((2, 3, 3)))),
     (Plm, "power-identity", lambda: power(A, 0)),
     (Plm, "first_positive_plm", lambda: first_positive_plm(M)),
     (Plm, "verify._plms", lambda: list(_plms(2))),
