@@ -65,23 +65,16 @@ def _load_plm(path: str):
     return parse_plm_text(_read(path), path)
 
 
-def _load_stochastic(path: str):
-    return parse_stochastic_text(_read(path), path)
-
-
-def _write(path: str, chunks) -> None:
+def _emit(chunks, out: str | None) -> None:
+    # Write the text chunks, in order, to the file ``out`` or to stdout.
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(out, "w", encoding="utf-8") as f:
             f.writelines(chunks)
     except OSError as exc:
-        raise PlmError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        _write(out, [text])
-    else:
-        sys.stdout.write(text)
+        raise PlmError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,35 +139,35 @@ def cmd_mul(args) -> int:
         "classification": classify(product).to_json_dict(),
     }
     if args.json:
-        _emit(dumps_compact(blob), args.out)
+        _emit([dumps_compact(blob)], args.out)
     elif args.text:
-        _emit(plm_to_text(product), args.out)
+        _emit([plm_to_text(product)], args.out)
     else:
-        _emit(plm_to_text(product) + dumps_compact(blob), args.out)
+        _emit([plm_to_text(product), dumps_compact(blob)], args.out)
     return 0
 
 
 def cmd_classify(args) -> int:
     verdict = classify(_load_plm(args.matrix))
-    _emit(dumps_compact(verdict.to_json_dict()), args.out)
+    _emit([dumps_compact(verdict.to_json_dict())], args.out)
     return 0
 
 
 def cmd_period(args) -> int:
     verdict = periodicity(_load_plm(args.matrix))
-    _emit(dumps_compact(verdict.to_json_dict()), args.out)
+    _emit([dumps_compact(verdict.to_json_dict())], args.out)
     return 0
 
 
 def cmd_eigen(args) -> int:
     check_tol(args.tol, "--tol")
     report = eigen_check(_load_plm(args.matrix), tol=args.tol)
-    _emit(dumps_compact(report.to_json_dict()), args.out)
+    _emit([dumps_compact(report.to_json_dict())], args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    m = _load_stochastic(args.matrix)
+    m = parse_stochastic_text(_read(args.matrix), args.matrix)
     dec = decompose(m)
     if args.check:
         problems = check_decomposition(m, dec)
@@ -182,7 +175,7 @@ def cmd_decompose(args) -> int:
             print(f"error: decomposition check failed: {problem}", file=sys.stderr)
         if problems:
             return 1
-    _emit(dumps_report(dec.to_json_dict()), args.out)
+    _emit([dumps_report(dec.to_json_dict())], args.out)
     return 0
 
 
@@ -192,11 +185,7 @@ def cmd_enumerate(args) -> int:
         raise InvalidArgumentError(
             f"d={args.d} means {args.d}**{args.d} lines; pass --force to insist"
         )
-    lines = (plm_to_colmap_line(a) + "\n" for a in _plms(args.d))
-    if args.out:
-        _write(args.out, lines)
-    else:
-        sys.stdout.writelines(lines)
+    _emit((plm_to_colmap_line(a) + "\n" for a in _plms(args.d)), args.out)
     return 0
 
 
@@ -226,7 +215,7 @@ def cmd_verify(args) -> int:
             "d": args.d,
             "reports": {r.sweep: r.to_json_dict(stable=True) for r in reports},
         }
-    _emit(dumps_report(payload), args.out)
+    _emit([dumps_report(payload)], args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -101,11 +101,8 @@ class EigenReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "has_zero": self.has_zero,
-            "roots_of_unity_ok": self.roots_of_unity_ok,
-            "period": self.period,
+            **vars(self),
             "numeric_eigenvalues": [[z.real, z.imag] for z in self.numeric_eigenvalues],
-            "spectral_radius_numeric": self.spectral_radius_numeric,
         }
 
 

@@ -168,8 +168,10 @@ class StochasticMatrix:
 class Decomposition:
     """Convex combination of PLMs: positive weights summing to exactly 1.
 
-    Weights must be exact, of the types ``StochasticMatrix`` takes for its
-    entries: an ``int`` (not a ``bool``), a ``Fraction`` or a string.
+    Each term is a ``(weight, Plm)`` pair; any other term raises
+    ``ValueError`` naming its number.  Weights must be exact, of the types
+    ``StochasticMatrix`` takes for its entries: an ``int`` (not a ``bool``),
+    a ``Fraction`` or a string.
     """
 
     terms: tuple[tuple[Fraction, Plm], ...]
@@ -204,10 +206,17 @@ class Decomposition:
 
 
 def _exact_terms(terms) -> tuple[tuple[Fraction, Plm], ...]:
-    # The (weight, PLM) pairs with each weight a Fraction.  Weights must be of
-    # the exact types StochasticMatrix takes for its entries.
+    # The (weight, PLM) pairs with each weight a Fraction.  Each term must be
+    # a pair whose second item is a Plm, and weights must be of the exact
+    # types StochasticMatrix takes for its entries.
     out = []
-    for n, (lam, p) in enumerate(terms, start=1):
+    for n, term in enumerate(terms, start=1):
+        try:
+            lam, p = term
+        except (TypeError, ValueError):
+            p = None
+        if not isinstance(p, Plm):
+            raise ValueError(f"term {n} is not a (weight, Plm) pair")
         out.append((_exact(lam, "weight {!r} of term {}", n), p))
     return tuple(out)
 

@@ -3,14 +3,18 @@
 Each sweep walks a deterministic index space (all PLMs of a dimension, all
 ordered pairs, or seeded random stochastic matrices), records failures and
 findings, and returns a :class:`SweepReport`.  One driver, :func:`_sweep`,
-runs them all: it times the sweep, splits the index space into chunks (one
-per worker, with no more workers than CPUs), and calls the sweep's chunk
-function on each.  A chunk returns ``(failures, part)``; the driver
-concatenates the failures and hands the parts to the sweep's merge step, both
-in ascending chunk order.  Reports are therefore reproducible: for a fixed
-dimension, tolerance, and seed the content is identical across runs and
-across worker counts.  Only the measured elapsed time varies, so the stable
-serialization normalizes it to zero.
+runs them all: it checks the arguments before it forms the case count, times
+the sweep, splits the index space into chunks (one per worker, with no more
+workers than CPUs, as contiguous spans whose sizes differ by at most one),
+and calls the sweep's chunk function on each.  A chunk returns ``(failures,
+part)``; the driver concatenates the failures and hands the parts to the
+sweep's merge step, both in ascending chunk order.  A part that tallies (the
+period verdicts, the eigen period histogram) is a ``collections.Counter``;
+the merge step sums them and reports a plain ``dict``.  Reports are
+therefore reproducible: for a fixed dimension, tolerance, and seed the
+content is identical across runs and across worker counts.  Only the
+measured elapsed time varies, so the stable serialization normalizes it to
+zero.
 
 The multiplication sweep is the heart: it checks composition multiply,
 structural multiply, and a textbook dense integer product against each other
@@ -23,6 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -129,42 +134,31 @@ class SweepReport:
         return not self.failures
 
     def to_json_dict(self, stable: bool = False) -> dict:
-        return {
-            "sweep": self.sweep,
-            "d": self.d,
-            "cases": self.cases,
-            "pass": self.passed,
-            "failures": self.failures,
-            "findings": self.findings,
-            "elapsed_ms": 0 if stable else self.elapsed_ms,
-        }
+        return {**vars(self), "pass": self.passed, "elapsed_ms": 0 if stable else self.elapsed_ms}
 
 
 def _chunks(total: int, workers: int):
-    # min(workers, total) spans of near-equal size that cover 0..total, in
-    # order; one empty span when total is 0.
+    # min(workers, total) spans that cover 0..total in order, span k being
+    # total*k//n..total*(k+1)//n, so sizes differ by at most one; one empty
+    # span when total is 0.
     n = max(1, min(workers, total))
-    size, extra = divmod(total, n)
-    start = 0
-    out = []
-    for k in range(n):
-        stop = start + size + (1 if k < extra else 0)
-        out.append((start, stop))
-        start = stop
-    return out
+    return [(total * k // n, total * (k + 1) // n) for k in range(n)]
 
 
-def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 1) -> SweepReport:
-    """Run ``chunk(*args, start, stop)`` over a partition of 0..total and report.
+def _sweep(name: str, d: int, total, chunk, args, findings, workers: int = 1) -> SweepReport:
+    """Run ``chunk(*args, start, stop)`` over a partition of 0..total(d) and report.
 
-    Each chunk returns ``(failures, part)``.  Failures concatenate, and the
-    parts go to ``findings(parts)``, in ascending chunk order, so the report
-    does not depend on the worker count.  A worker count above
-    ``os.cpu_count()`` is cut to it before the range is split, so there is
-    one chunk, and one process, per worker that runs.  Raises
-    :class:`InvalidArgumentError` through :func:`check_sweep_args` for a bad
-    ``d``, ``total`` or ``workers``, before any process starts.
+    ``total`` maps ``d`` to the case count, and is called only once ``d`` is
+    known to be an int >= 1.  Each chunk returns ``(failures, part)``.
+    Failures concatenate, and the parts go to ``findings(parts)``, in
+    ascending chunk order, so the report does not depend on the worker count.
+    A worker count above ``os.cpu_count()`` is cut to it before the range is
+    split, so there is one chunk, and one process, per worker that runs.
+    Raises :class:`InvalidArgumentError` through :func:`check_sweep_args` for
+    a bad ``d``, case count or ``workers``, before any process starts.
     """
+    _require_dim(d)
+    total = total(d)
     check_sweep_args(d, total, workers)
     t0 = time.perf_counter()
     # Each chunk rebuilds its sweep's operands, so a chunk per process, not
@@ -192,14 +186,6 @@ def _sweep(name: str, d: int, total: int, chunk, args, findings, workers: int = 
         findings=findings([part for _, part in results]),
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
-
-
-def _add_counts(parts) -> dict[str, int]:
-    total: dict[str, int] = {}
-    for part in parts:
-        for key, val in part.items():
-            total[key] = total.get(key, 0) + val
-    return total
 
 
 def _oracle_colmaps(products) -> list[tuple[int, ...]]:
@@ -252,15 +238,15 @@ def _mul_chunk(d: int, start: int, stop: int):
 
 def sweep_multiplication(d: int, workers: int = 1) -> SweepReport:
     """Check multiply == structural_multiply == dense oracle over all pairs."""
-    return _sweep("mul", d, (d**d) ** 2, _mul_chunk, (d,), lambda parts: {}, workers)
+    return _sweep("mul", d, lambda d: (d**d) ** 2, _mul_chunk, (d,), lambda parts: {}, workers)
 
 
 def _period_chunk(d: int, assert_law: bool, start: int, stop: int):
     failures = []
-    counts: dict[str, int] = {}
+    counts = Counter()
     for k, a in enumerate(_plms(d, start, stop), start):
         verdict = periodicity(a)
-        counts[verdict.kind] = counts.get(verdict.kind, 0) + 1
+        counts[verdict.kind] += 1
         if assert_law:
             square_is_row = _classify(multiply(a, a).colmap)[0] == "rowplm"
             if verdict.kind != "periodic" and not square_is_row:
@@ -285,40 +271,34 @@ def sweep_period(d: int, workers: int = 1) -> SweepReport:
     return _sweep(
         "period",
         d,
-        d**d,
+        lambda d: d**d,
         _period_chunk,
         (d, assert_law),
-        lambda parts: {"verdicts": _add_counts(parts), "asserted": assert_law},
+        lambda parts: {"verdicts": dict(sum(parts, Counter())), "asserted": assert_law},
         workers,
     )
 
 
 def _eigen_chunk(d: int, tol: float, start: int, stop: int):
     failures = []
-    period_hist: dict[str, int] = {}
+    period_hist = Counter()
     zero_count = 0
     for k, a in enumerate(_plms(d, start, stop), start):
+        # The first check that fails names the record's fields.
         try:
             report = eigen_check(a, tol)
         except RootFindingError as exc:
-            failures.append(
-                {
-                    "index": k,
-                    "colmap": list(a.colmap),
-                    "check": "numeric_roots",
-                    "detail": str(exc),
-                }
-            )
-            continue
-        if not report.roots_of_unity_ok:
-            failures.append({"index": k, "colmap": list(a.colmap), "check": "power_identity"})
-            continue
-        if report.has_zero != (not is_permutation(a)):
-            failures.append({"index": k, "colmap": list(a.colmap), "check": "zero_eigenvalue"})
-            continue
-        key = str(report.period)
-        period_hist[key] = period_hist.get(key, 0) + 1
-        zero_count += int(report.has_zero)
+            failed = {"check": "numeric_roots", "detail": str(exc)}
+        else:
+            if not report.roots_of_unity_ok:
+                failed = {"check": "power_identity"}
+            elif report.has_zero != (not is_permutation(a)):
+                failed = {"check": "zero_eigenvalue"}
+            else:
+                period_hist[str(report.period)] += 1
+                zero_count += report.has_zero
+                continue
+        failures.append({"index": k, "colmap": list(a.colmap), **failed})
     return failures, (period_hist, zero_count)
 
 
@@ -328,11 +308,11 @@ def sweep_eigen(d: int, tol: float = DEFAULT_TOL, workers: int = 1) -> SweepRepo
     return _sweep(
         "eigen",
         d,
-        d**d,
+        lambda d: d**d,
         _eigen_chunk,
         (d, tol),
         lambda parts: {
-            "period_histogram": _add_counts(hist for hist, _ in parts),
+            "period_histogram": dict(sum((hist for hist, _ in parts), Counter())),
             "zero_eigenvalue_count": sum(zeros for _, zeros in parts),
         },
         workers,
@@ -391,7 +371,7 @@ def sweep_prerow(d: int, workers: int = 1) -> SweepReport:
     and whether it becomes one after row canonicalization.  Nothing is
     asserted either way; the question is open.
     """
-    return _sweep("prerow", d, d**d, _prerow_chunk, (d,), _prerow_findings, workers)
+    return _sweep("prerow", d, lambda d: d**d, _prerow_chunk, (d,), _prerow_findings, workers)
 
 
 def _case_seed(seed: int, case: int) -> int:
@@ -426,7 +406,7 @@ def sweep_decompose(d: int, n_cases: int = 100, seed: int = 0, workers: int = 1)
     return _sweep(
         "decompose",
         d,
-        n_cases,
+        lambda d: n_cases,
         _decompose_chunk,
         (d, seed),
         lambda parts: {"max_terms": max(parts), "term_bound": d * d, "seed": seed},

@@ -360,6 +360,24 @@ class TestConvexCombine:
         assert m.entries == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
 
 
+# A term that is not a (weight, Plm) pair is refused by its number, before a
+# use of it would raise AttributeError or TypeError.
+@pytest.mark.parametrize(
+    "terms, n",
+    [
+        pytest.param(((F(1), (1,)),), 1, id="colmap-for-plm"),
+        pytest.param([(1, "abc")], 1, id="str-for-plm"),
+        pytest.param([F(1)], 1, id="bare-weight"),
+        pytest.param([(F(1, 2), identity(2)), (F(1, 2),)], 2, id="one-item-term"),
+        pytest.param([(F(1, 2), identity(2)), (F(1, 4), identity(2), 0)], 2, id="three-item-term"),
+    ],
+)
+@pytest.mark.parametrize("build", [Decomposition, convex_combine], ids=lambda f: f.__name__)
+def test_terms_must_be_weight_plm_pairs(build, terms, n):
+    with pytest.raises(ValueError, match=rf"^term {n} is not a \(weight, Plm\) pair$"):
+        build(terms)
+
+
 class TestDecompositionType:
     def test_validation(self):
         with pytest.raises(WeightSumNotOneError):

@@ -15,6 +15,7 @@ from plmonoid import (
     InvalidArgumentError,
     Permutation,
     Plm,
+    RootFindingError,
     SweepReport,
     check_decomposition,
     classify,
@@ -125,6 +126,8 @@ def test_chunks_partition_the_range():
             flat = [k for start, stop in spans for k in range(start, stop)]
             assert flat == list(range(total))
             assert len(spans) == min(workers, total)
+            sizes = [stop - start for start, stop in spans]
+            assert max(sizes) - min(sizes) <= 1
     assert _chunks(0, 3) == [(0, 0)]
 
 
@@ -369,6 +372,30 @@ class TestEigenSweep:
         assert r.failures == [{"index": 2, "colmap": [2, 1], "check": "power_identity"}]
         assert not r.passed
 
+    def test_failed_numeric_roots_is_one_failure_record_with_detail(self, monkeypatch):
+        real = verify.eigen_check
+
+        def roots_fail_on_one(a, tol):
+            if a.colmap == (2, 1):
+                raise RootFindingError("roots strayed", deviation=0.5)
+            return real(a, tol)
+
+        monkeypatch.setattr(verify, "eigen_check", roots_fail_on_one)
+        r = sweep_eigen(2)
+        assert r.failures == [
+            {"index": 2, "colmap": [2, 1], "check": "numeric_roots", "detail": "roots strayed"}
+        ]
+        # A failed case is left out of the tallies.
+        assert r.findings == {"period_histogram": {"1": 3}, "zero_eigenvalue_count": 2}
+
+    def test_failed_zero_eigenvalue_is_one_failure_record(self, monkeypatch):
+        real = verify.is_permutation
+        monkeypatch.setattr(verify, "is_permutation", lambda a: a.colmap == (1, 1) or real(a))
+        r = sweep_eigen(2)
+        assert r.failures == [{"index": 0, "colmap": [1, 1], "check": "zero_eigenvalue"}]
+        assert r.findings == {"period_histogram": {"1": 2, "2": 1}, "zero_eigenvalue_count": 1}
+        assert not r.passed
+
 
 class TestPrerowSweep:
     def test_d3_survey(self):
@@ -518,6 +545,12 @@ def test_decompose_sweep_rejects_negative_case_count():
         *[
             pytest.param(lambda sweep=sweep: sweep(True), "d", id=sweep.__name__)
             for sweep in SWEEPS
+        ],
+        # refused before the case count d**d is formed, which would raise TypeError
+        *[
+            pytest.param(lambda sweep=sweep, d=d: sweep(d), "d", id=f"{sweep.__name__}-{d!r}")
+            for sweep in SWEEPS
+            for d in ("3", None, [3])
         ],
         pytest.param(lambda: sweep_period(2.0), "d", id="sweep_period-float"),
         pytest.param(lambda: sweep_decompose(2, n_cases=True), "n_cases", id="n_cases-bool"),
