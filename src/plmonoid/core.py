@@ -45,6 +45,24 @@ def _require_dim(d) -> None:
         raise InvalidArgumentError(f"dimension {d} must be >= 1")
 
 
+def _require_same_dim(m: int, n: int, what: str = "dims") -> None:
+    # The one home of the rule that operands share a dimension.
+    if m != n:
+        raise DimensionMismatchError(f"{what} {m} != {n}")
+
+
+def _require_square(rows) -> int:
+    # The one home of the shape rule for a grid of entries: some rows, each
+    # as long as there are rows.  Returns that count, d.
+    d = len(rows)
+    if d == 0:
+        raise ValueError("empty matrix")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != d:
+            raise ValueError(f"not square: {d} rows but row {i} has {len(row)} entries")
+    return d
+
+
 def _trusted(cls, **fields):
     # Validation happens once, at the boundary.  Public constructors and the
     # functions that take raw caller data validate; a value the library builds
@@ -113,8 +131,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Compose: apply ``other`` first, then ``self``."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"permutation dims {self.dim} != {other.dim}")
+        _require_same_dim(self.dim, other.dim, "permutation dims")
         return _trusted(Permutation, images=tuple([self.images[k - 1] for k in other.images]))
 
     def inverse(self) -> "Permutation":
@@ -140,12 +157,8 @@ class DenseBinaryMatrix:
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
-        d = len(rows)
-        if d == 0:
-            raise ValueError("empty matrix")
+        _require_square(rows)
         for row in rows:
-            if len(row) != d:
-                raise ValueError(f"not square: {d} rows but a row of length {len(row)}")
             for x in row:
                 if type(x) is not int or x not in (0, 1):
                     raise ValueError(f"entry {x!r} is not the int 0 or 1")
@@ -258,12 +271,12 @@ class CplmParts:
             first = 1
         else:
             first = self.v.index(1) + 2
-        return Plm((first,) + tuple(r + 1 for r in self.plc.colmap))
+        return _plm_trusted((first,) + tuple(r + 1 for r in self.plc.colmap))
 
 
 def identity(d: int) -> Plm:
     _require_dim(d)
-    return Plm(tuple(range(1, d + 1)))
+    return _plm_trusted(tuple(range(1, d + 1)))
 
 
 def row_plm(d: int, m: int) -> Plm:
@@ -272,20 +285,19 @@ def row_plm(d: int, m: int) -> Plm:
     _require_ints(m=m)
     if not 1 <= m <= d:
         raise InvalidArgumentError(f"row {m} out of range 1..{d}")
-    return Plm((m,) * d)
+    return _plm_trusted((m,) * d)
 
 
 def from_dense(m) -> Plm:
     """Read a PLM off a dense square matrix.
 
     Accepts a :class:`DenseBinaryMatrix` or any nested sequence of ints.
-    Raises :class:`NotPlmError` when an entry is not 0/1 or a column does not
-    hold exactly one 1.
+    Raises ``ValueError`` when the grid is empty or not square, and
+    :class:`NotPlmError` when an entry is not 0/1 or a column does not hold
+    exactly one 1.
     """
     rows = m.entries if isinstance(m, DenseBinaryMatrix) else tuple(tuple(r) for r in m)
-    d = len(rows)
-    if d == 0 or any(len(r) != d for r in rows):
-        raise ValueError("matrix is empty or not square")
+    d = _require_square(rows)
     nonzeros = [[(j, x) for j, x in enumerate(row) if x != 0] for row in rows]
     return _plm_of_nonzeros(d, nonzeros)
 
@@ -333,8 +345,7 @@ def multiply(a: Plm, b: Plm) -> Plm:
     column map is the composition ``a.colmap o b.colmap``.
     """
     am, bm = a.colmap, b.colmap
-    if len(am) != len(bm):
-        raise DimensionMismatchError(f"dims {len(am)} != {len(bm)}")
+    _require_same_dim(len(am), len(bm))
     if len(bm) == 1:  # itemgetter of one index returns the item, not a tuple
         return _plm_trusted(am)
     # Entry r of (0,) + am is am[r - 1], so this picks column bm[j] of a.
@@ -343,8 +354,7 @@ def multiply(a: Plm, b: Plm) -> Plm:
 
 def permute_rows(sigma: Permutation, a: Plm) -> Plm:
     """Relabel the rows of ``a`` by ``sigma`` (left action on the row index)."""
-    if sigma.dim != a.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} != {a.dim}")
+    _require_same_dim(sigma.dim, a.dim)
     im = sigma.images
     return _plm_trusted(tuple([im[r - 1] for r in a.colmap]))
 
@@ -356,8 +366,7 @@ def permute_columns(tau: Permutation, a: Plm) -> Plm:
     convention this is a left action, so applying sigma after tau equals
     applying ``sigma * tau`` at once.
     """
-    if tau.dim != a.dim:
-        raise DimensionMismatchError(f"dims {tau.dim} != {a.dim}")
+    _require_same_dim(tau.dim, a.dim)
     cm = a.colmap
     out = [0] * len(cm)
     for j, t in enumerate(tau.images):
@@ -485,9 +494,8 @@ def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:
     if not 0 <= n <= d - 1:
         raise InvalidArgumentError(f"column count {n} out of range 0..{d - 1}")
     v = parts.v
-    return DenseBinaryMatrix(
-        tuple(tuple(v[i] if j < n else 0 for j in range(d - 1)) for i in range(d - 1))
-    )
+    rows = tuple(tuple(v[i] if j < n else 0 for j in range(d - 1)) for i in range(d - 1))
+    return _trusted(DenseBinaryMatrix, entries=rows)
 
 
 def structural_multiply(a: Plm, b: Plm) -> Plm:
@@ -527,8 +535,7 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     agrees with :func:`multiply`; the two routes share no formula.
     """
     am, bm = a.colmap, b.colmap
-    if len(am) != len(bm):
-        raise DimensionMismatchError(f"dims {len(am)} != {len(bm)}")
+    _require_same_dim(len(am), len(bm))
     return _plm_trusted(_smul(am, bm))
 
 

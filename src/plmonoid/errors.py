@@ -3,8 +3,9 @@
 The ``plm`` command maps each :class:`PlmError` to its exit code in one
 handler.  A bad scalar argument (a dimension below 1; an index, count,
 exponent or tolerance out of range; a value that is not an exact ``int``) is
-an :class:`InvalidArgumentError`, which is also a ``ValueError``, so code
-that catches ``ValueError`` still catches it.  A bad value inside a matrix,
+an :class:`InvalidArgumentError`, and operands of different dimensions a
+:class:`DimensionMismatchError`; both are also ``ValueError``s, so code
+that catches ``ValueError`` still catches them.  A bad value inside a matrix,
 column map or decomposition raises a plain ``ValueError``; the file readers
 turn those into :class:`MatrixParseError` with the file's name and line.
 """
@@ -27,7 +28,7 @@ class NotPlmError(PlmError):
         self.count = count
 
 
-class DimensionMismatchError(PlmError):
+class DimensionMismatchError(PlmError, ValueError):
     """Operands have different dimensions."""
 
 
@@ -60,9 +61,10 @@ class RootFindingError(PlmError):
     """The eigenvalue cross-check failed or could not be carried out.
 
     Either the exact certificate failed (the trace-recursion characteristic
-    polynomial does not divide exactly into the square-free factors read off
-    the cycle lengths) or the numeric roots strayed from the allowed spectrum.
-    Exact verdicts (periodicity, characteristic polynomial) are unaffected.
+    polynomial is not the product of the square-free factors read off the
+    cycle lengths, each to its multiplicity) or the numeric roots strayed
+    from the allowed spectrum.  Exact verdicts (periodicity, characteristic
+    polynomial) are unaffected.
     """
 
     def __init__(self, message: str, deviation: float | None = None):

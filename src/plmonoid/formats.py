@@ -50,9 +50,14 @@ def _parse_dim(path, lines):
         raise MatrixParseError(path, n, f"expected a dimension, got {head!r}") from None
     if d < 1:
         raise MatrixParseError(path, n, f"dimension must be >= 1, got {d}")
-    if len(lines) - 1 != d:
-        raise MatrixParseError(path, n, f"expected {d} matrix rows, found {len(lines) - 1}")
+    _require_count(path, n, d, len(lines) - 1, "matrix rows")
     return d, lines[1:]
+
+
+def _require_count(path, n, d: int, found: int, what: str = "entries") -> None:
+    # The one home of the rule that line n holds d entries (or the file d rows).
+    if found != d:
+        raise MatrixParseError(path, n, f"expected {d} {what}, found {found}")
 
 
 def _writer_form_nonzeros(text: str) -> tuple[int, list] | None:
@@ -109,8 +114,7 @@ def _parse_colmap_line(path, lines) -> Plm:
         raise MatrixParseError(path, n, f"malformed column-map line {line!r}") from None
     if d < 1:
         raise MatrixParseError(path, n, f"dimension must be >= 1, got {d}")
-    if len(colmap) != d:
-        raise MatrixParseError(path, n, f"expected {d} entries, found {len(colmap)}")
+    _require_count(path, n, d, len(colmap))
     try:
         return Plm(colmap)
     except ValueError as exc:
@@ -134,8 +138,7 @@ def parse_plm_text(text: str, path: str = "<input>") -> Plm:
                 nonzeros.append([(j, int(t)) for j, t in enumerate(toks) if t != "0"])
             except ValueError:
                 raise MatrixParseError(path, n, f"non-integer entry in {line!r}") from None
-            if len(toks) != d:
-                raise MatrixParseError(path, n, f"expected {d} entries, found {len(toks)}")
+            _require_count(path, n, d, len(toks))
     try:
         return _plm_of_nonzeros(d, nonzeros)
     except NotPlmError as exc:
@@ -173,8 +176,7 @@ def parse_stochastic_text(text: str, path: str = "<input>") -> StochasticMatrix:
                 entries.append(_fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise MatrixParseError(path, n, f"cannot parse entry {tok!r}") from None
-        if len(entries) != d:
-            raise MatrixParseError(path, n, f"expected {d} entries, found {len(entries)}")
+        _require_count(path, n, d, len(entries))
         grid.append(entries)
     return StochasticMatrix(tuple(tuple(row) for row in grid))
 
@@ -190,12 +192,36 @@ def stochastic_to_text(m: StochasticMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_field(obj, key: str, where: str, kind: type = object):
+    # obj[key], refused with ValueError naming ``where`` and the field unless
+    # obj is a dict that holds a value of type ``kind`` under key.
+    if not isinstance(obj, dict):
+        problem = f"not a JSON object (type {type(obj).__name__})"
+    elif key not in obj:
+        problem = f"no {key!r} field"
+    elif not isinstance(obj[key], kind):
+        problem = f"field {key!r} is not a {kind.__name__} (type {type(obj[key]).__name__})"
+    else:
+        return obj[key]
+    raise ValueError(f"{where}: {problem}")
+
+
 def decomposition_from_json_dict(obj: dict) -> Decomposition:
     """Read a decomposition back from its JSON object.  Weights and ``dim``
-    must be exact: a JSON float or boolean is refused."""
-    d = obj["dim"]
+    must be exact: a JSON float or boolean is refused.  A missing or
+    malformed field raises ``ValueError`` naming it and, inside a term, the
+    term's number."""
+    d = _json_field(obj, "dim", "decomposition")
     _require_ints(dim=d)
-    terms = tuple((term["lambda"], Plm(tuple(term["colmap"]))) for term in obj["terms"])
+    terms = []
+    for n, term in enumerate(_json_field(obj, "terms", "decomposition", list), start=1):
+        where = f"term {n}"
+        lam = _json_field(term, "lambda", where)
+        colmap = _json_field(term, "colmap", where, list)
+        try:
+            terms.append((lam, Plm(tuple(colmap))))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     dec = Decomposition(terms)
     if dec.dim != d:
         raise ValueError(f"declared dim {d} but terms have dim {dec.dim}")

@@ -20,9 +20,10 @@ roughly machine-epsilon^(1/m), which for (x-1)^5 is about 1e-3.  To honor a
 whose simple roots are found to near machine precision.  The graph pass gives
 them: cycles of lengths l on c nodes make it x^(d-c) times each x^l - 1, so
 the cyclotomic Phi_n has multiplicity #{l : n | l} and x has d - c.  Before
-any root is found, the trace-recursion polynomial must divide exactly by them
-in Z[x] with quotient 1.  That proves, without floats, that the spectrum is 0
-and roots of unity, and keeps the numeric roots those of the trace recursion.
+any root is found, the trace-recursion polynomial must equal the product of
+these factors, each raised to its multiplicity, multiplied out in Z[x].  That
+proves, without floats, that the spectrum is 0 and roots of unity, and keeps
+the numeric roots those of the trace recursion.
 """
 
 from __future__ import annotations
@@ -214,10 +215,13 @@ def one_norm(a: Plm) -> int:
 # --- polynomial helpers over Z, coefficients leading-first ---
 
 def _mul(p: list[int], q: list[int]) -> list[int]:
+    # p times q as a sum over the nonzero terms of q, so a factor's zero terms
+    # (x is [1, 0]) cost nothing.  Callers pass the growing product as p.
     r = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            r[i + j] += x * y
+    for j, y in enumerate(q):
+        if y:
+            for i, x in enumerate(p, j):
+                r[i] += x * y
     return r
 
 
@@ -261,16 +265,12 @@ def _squarefree_factors(d: int, lengths: list[int]) -> list[tuple[list[int], int
 
 def _certify(coeffs: tuple[int, ...], factors: list[tuple[list[int], int]]) -> None:
     """Raise :class:`RootFindingError` unless coeffs is exactly the product of
-    factor^multiplicity: each division in Z[x] must leave no remainder, and
-    the quotient at the end must be 1."""
-    rest = list(coeffs)
-    try:
-        for factor, mult in factors:
-            for _ in range(mult):
-                rest = _div_monic(rest, factor)
-    except AssertionError:
-        rest = None
-    if rest != [1]:
+    factor^multiplicity over the factors, multiplied out in Z[x]."""
+    product = [1]
+    for factor, mult in factors:
+        for _ in range(mult):
+            product = _mul(product, factor)
+    if product != list(coeffs):
         raise RootFindingError(
             "exact certificate failed: the characteristic polynomial is not the "
             "product of the cycle lengths' square-free factors"
@@ -332,10 +332,11 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
 
     One graph pass gives s, t and the cycle lengths; ``roots_of_unity_ok``
     re-verifies A^(s+t) == A^s by repeated squaring.  The factors read off
-    the lengths must divide the trace-recursion polynomial exactly, and the
-    numeric side then confirms every root is within ``tol`` of zero or of a
-    t-th root of unity.  :class:`RootFindingError` is raised if the exact
-    certificate fails or the computed roots disagree with it.
+    the lengths, each raised to its multiplicity, must multiply out to the
+    trace-recursion polynomial exactly, and the numeric side then confirms
+    every root is within ``tol`` of zero or of a t-th root of unity.
+    :class:`RootFindingError` is raised if the exact certificate fails or the
+    computed roots disagree with it.
     """
     check_tol(tol)
     tail, lengths, _, period = _graph(a.colmap)

@@ -38,9 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Plm, _plm_trusted, _require_dim, _require_ints, _trusted
+from .core import (
+    Plm,
+    _plm_trusted,
+    _require_dim,
+    _require_ints,
+    _require_same_dim,
+    _require_square,
+    _trusted,
+)
 from .errors import (
-    DimensionMismatchError,
     InvalidArgumentError,
     NotLeftStochasticError,
     PlmError,
@@ -128,13 +135,9 @@ class StochasticMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        d = len(self.entries)
-        if d == 0:
-            raise ValueError("empty matrix")
+        _require_square(self.entries)
         rows = []
         for i, row in enumerate(self.entries, start=1):
-            if len(row) != d:
-                raise ValueError(f"not square: {d} rows but row {i} has {len(row)} entries")
             entries = []
             for j, x in enumerate(row, start=1):
                 x = _exact(x, "entry {!r} at row {}, column {}", i, j)
@@ -183,8 +186,7 @@ class Decomposition:
             raise WeightSumNotOneError("a decomposition needs at least one term")
         d = terms[0][1].dim
         for lam, p in terms:
-            if p.dim != d:
-                raise DimensionMismatchError(f"term dims {p.dim} != {d}")
+            _require_same_dim(p.dim, d, "term dims")
             if not 0 < lam <= 1:
                 raise ValueError(f"weight {_text(lam)} outside (0, 1]")
         if len(terms) > d * d:
@@ -342,8 +344,7 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     """
     d = m.dim
     for _, p in dec.terms:
-        if p.dim != d:
-            raise DimensionMismatchError(f"term dims {p.dim} != {d}")
+        _require_same_dim(p.dim, d, "term dims")
     scale = lcm(
         *[x.denominator for row in m.entries for x in row],
         *[lam.denominator for lam, _ in dec.terms],
@@ -393,8 +394,7 @@ def convex_combine(terms) -> StochasticMatrix:
         raise WeightSumNotOneError("no terms to combine")
     d = terms[0][1].dim
     for lam, p in terms:
-        if p.dim != d:
-            raise DimensionMismatchError(f"term dims {p.dim} != {d}")
+        _require_same_dim(p.dim, d, "term dims")
         if not 0 <= lam <= 1:
             raise ValueError(f"weight {_text(lam)} outside [0, 1]")
     scale, weights = _scaled_weights([lam for lam, _ in terms])

@@ -18,8 +18,9 @@ zero.
 
 The multiplication sweep is the heart: it checks composition multiply,
 structural multiply, and a textbook dense integer product against each other
-over every ordered pair.  The oracle shares no code with the column-map
-routes.
+over every ordered pair.  The oracle shares no product formula with the
+column-map routes; it uses only ``core``'s check that the operands share a
+dimension, which states a precondition, not a product.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import (
     _plm_trusted,
     _require_dim,
     _require_ints,
+    _require_same_dim,
     _trusted,
     canonicalize,
     from_dense,
@@ -66,7 +68,7 @@ def plm_from_index(d: int, index: int) -> Plm:
     cm = []
     for pos in range(d - 1, -1, -1):
         cm.append(index // d**pos % d + 1)
-    return Plm(tuple(cm))
+    return _plm_trusted(tuple(cm))
 
 
 def _plms(d: int, start: int = 0, stop: int | None = None):
@@ -88,7 +90,7 @@ def check_sweep_args(d: int, n_cases: int = 0, workers: int = 1) -> None:
 
 def enumerate_plms(d: int) -> list[Plm]:
     """All d^d PLMs of dimension d, lexicographic by column map."""
-    check_sweep_args(d)
+    _require_dim(d)
     return list(_plms(d))
 
 
@@ -96,18 +98,19 @@ def oracle_multiply(a, b):
     """Textbook integer matrix product; independent of column-map composition.
 
     Takes two :class:`DenseBinaryMatrix` operands and returns their product as
-    one, computed by ``np.matmul`` on int64 arrays; raises ``ValueError``
-    naming the first entry above 1 (row-major, 1-based) when the product is
-    not a 0/1 matrix.  Any other ``a`` must be an ``np.ndarray``: the
-    multiplication sweep passes square int64 arrays (its dense forms) and
-    gets their product back unchecked, as ``a.dot(b)``: the same integer sum
-    of row-by-column products, with less call overhead than ``np.matmul`` or
-    ``np.dot`` on small arrays.  Nested lists are not accepted there.
+    one, computed by ``np.matmul`` on int64 arrays; raises
+    :class:`DimensionMismatchError`, as the column-map routes do, when the
+    dimensions differ, and ``ValueError`` naming the first entry above 1
+    (row-major, 1-based) when the product is not a 0/1 matrix.  Any other
+    ``a`` must be an ``np.ndarray``: the multiplication sweep passes square
+    int64 arrays (its dense forms) and gets their product back unchecked, as
+    ``a.dot(b)``: the same integer sum of row-by-column products, with less
+    call overhead than ``np.matmul`` or ``np.dot`` on small arrays.  Nested
+    lists are not accepted there.
     """
     if not isinstance(a, DenseBinaryMatrix):
         return a.dot(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dims {a.dim} != {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     rows_a = np.array(a.entries, dtype=np.int64)
     rows_b = np.array(b.entries, dtype=np.int64)
     product = np.matmul(rows_a, rows_b)
@@ -202,7 +205,7 @@ def _oracle_colmaps(products) -> list[tuple[int, ...]]:
 
 def _mul_chunk(d: int, start: int, stop: int):
     n = d**d
-    elems = enumerate_plms(d)
+    elems = list(_plms(d))
     denses = list(np.array([to_dense(p).entries for p in elems], dtype=np.int64))
     failures = []
     # One left operand at a time; the chunk may start or end inside a row.

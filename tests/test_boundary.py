@@ -29,9 +29,13 @@ from plmonoid import (
     cplm_parts,
     decompose,
     first_positive_plm,
+    identity,
     oracle_multiply,
+    plm_from_index,
     power,
     random_left_stochastic,
+    row_plm,
+    tail_column_block,
     to_dense,
 )
 from plmonoid.verify import _plms
@@ -40,6 +44,7 @@ A, B = Plm((2, 1, 1)), Plm((3, 3, 1))
 SIGMA, TAU = Permutation((2, 3, 1)), Permutation((1, 3, 2))
 M = random_left_stochastic(3, seed=5)
 THIRD = Fraction(1, 3)
+PARTS = CplmParts(leading=0, v=(1, 0), plc=Plm((2, 2)))
 
 
 def enumerated_by_cli():
@@ -61,8 +66,13 @@ SITES = [
     (Permutation, "canonicalize-identity", lambda: canonicalize(Plm((1, 2, 3)))[0]),
     (DenseBinaryMatrix, "to_dense", lambda: to_dense(A)),
     (DenseBinaryMatrix, "oracle_multiply", lambda: oracle_multiply(to_dense(A), to_dense(B))),
+    (DenseBinaryMatrix, "tail_column_block", lambda: tail_column_block(Plm((2, 3, 3)), 1)),
     (CplmParts, "cplm_parts", lambda: cplm_parts(Plm((2, 3, 3)))),
     (Plm, "power-identity", lambda: power(A, 0)),
+    (Plm, "identity", lambda: identity(3)),
+    (Plm, "row_plm", lambda: row_plm(3, 2)),
+    (Plm, "plm_from_index", lambda: plm_from_index(3, 5)),
+    (Plm, "CplmParts.assemble", lambda: PARTS.assemble()),
     (Plm, "first_positive_plm", lambda: first_positive_plm(M)),
     (Plm, "verify._plms", lambda: list(_plms(2))),
     (Plm, "cli.cmd_enumerate", enumerated_by_cli),

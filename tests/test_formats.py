@@ -3,6 +3,7 @@ and the dense reader and writer at large d."""
 
 import json
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -262,6 +263,39 @@ class TestDecompositionJson:
         obj = decompose(B).to_json_dict()
         obj["dim"] = 4
         with pytest.raises(ValueError):
+            decomposition_from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"dim": 1}, "decomposition: no 'terms' field"),
+            ({"terms": []}, "decomposition: no 'dim' field"),
+            ({"dim": 1, "terms": "x"}, "decomposition: field 'terms' is not a list (type str)"),
+            ([], "decomposition: not a JSON object (type list)"),
+            ({"dim": 1, "terms": [5]}, "term 1: not a JSON object (type int)"),
+            ({"dim": 1, "terms": [{"colmap": [1]}]}, "term 1: no 'lambda' field"),
+            (
+                {"dim": 1, "terms": [{"lambda": "1/2", "colmap": [1]}, {"lambda": "1/2"}]},
+                "term 2: no 'colmap' field",
+            ),
+            (
+                {"dim": 1, "terms": [{"lambda": 1, "colmap": 5}]},
+                "term 1: field 'colmap' is not a list (type int)",
+            ),
+            (
+                {"dim": 1, "terms": [{"lambda": 1, "colmap": [2]}]},
+                "term 1: column 1 maps to row 2, outside 1..1",
+            ),
+        ],
+        ids=[
+            "no-terms", "no-dim", "terms-str", "not-object", "term-int", "no-lambda",
+            "no-colmap", "colmap-int", "colmap-range",
+        ],
+    )
+    def test_refuses_a_malformed_object_naming_the_field(self, obj, message):
+        # A bad value inside a decomposition is a ValueError (see errors.py),
+        # named by its field and, inside a term, the term's number.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             decomposition_from_json_dict(obj)
 
 

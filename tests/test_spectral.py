@@ -523,3 +523,36 @@ def test_linear_factor_roots_are_bit_identical_to_np_roots(monkeypatch):
     direct = reports()
     monkeypatch.setattr(spectral, "_roots_with_multiplicity", all_np_roots)
     assert reports() == direct
+
+
+# --- failure paths of eigen_check and the certificate --------------------------
+
+
+def test_certificate_is_the_product_of_the_factors():
+    # (x - 1)^2 (x + 1) = x^3 - x^2 - x + 1
+    factors = [([1, 1], 1), ([1, -1], 2)]
+    _certify((1, -1, -1, 1), factors)
+    for wrong in [(1, 0, -1), (1, -1, -1, 1, 0), (1, -1, -1, 2), (1, -2, 1)]:
+        with pytest.raises(RootFindingError, match="^exact certificate failed: "):
+            _certify(wrong, factors)
+
+
+def test_roots_off_the_allowed_spectrum_raise_with_the_deviation(monkeypatch):
+    monkeypatch.setattr(spectral, "max_unity_deviation", lambda roots, period, tol: 0.25)
+    message = r"^some root sits 2\.500e-01 away from the allowed spectrum$"
+    with pytest.raises(RootFindingError, match=message) as err:
+        eigen_check(Plm((2, 3, 1)))
+    assert err.value.deviation == 0.25
+
+
+def test_numeric_root_finding_failure_is_a_root_finding_error(monkeypatch):
+    # A 3-cycle has the factor x^2 + x + 1, the one np.roots is called on.
+    def fails(coeffs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(spectral.np, "roots", fails)
+    message = "^numeric root finding failed: did not converge$"
+    with pytest.raises(RootFindingError, match=message) as err:
+        eigen_check(Plm((2, 3, 1)))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.deviation is None

@@ -13,10 +13,13 @@ from plmonoid import (
     Decomposition,
     DenseBinaryMatrix,
     InvalidArgumentError,
+    NotPlmError,
+    PeriodicityVerdict,
     Permutation,
     Plm,
     RootFindingError,
     SweepReport,
+    ZeroColumnError,
     check_decomposition,
     classify,
     cplm_parts,
@@ -571,3 +574,66 @@ def test_decompose_sweep_rejects_negative_case_count():
 def test_rejects_non_int_arguments(call, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be an int, not "):
         call()
+
+
+# --- failure paths of the sweeps, reached by patching ---------------------------
+
+
+def test_period_law_failure_is_one_record_per_case(monkeypatch):
+    # Every verdict reads eventually periodic; only the PLMs whose square is
+    # not a row PLM, (1, 2) and (2, 1), break the d <= 3 law.
+    wrong = PeriodicityVerdict.eventually_periodic(s=2, t=1)
+    monkeypatch.setattr(verify, "periodicity", lambda a: wrong)
+    r = sweep_period(2)
+    assert r.failures == [
+        {"index": k, "colmap": colmap, "verdict": wrong.to_json_dict()}
+        for k, colmap in ((1, [1, 2]), (2, [2, 1]))
+    ]
+    assert wrong.to_json_dict() == {
+        "periodicity": "eventually_periodic",
+        "s": 2,
+        "t": 1,
+        "is_prerow": False,
+    }
+    assert r.findings == {"verdicts": {"eventually_periodic": 4}, "asserted": True}
+    assert not r.passed
+
+
+def test_decompose_error_is_one_record_per_case(monkeypatch):
+    def fails(m):
+        raise ZeroColumnError(2)
+
+    monkeypatch.setattr(verify, "decompose", fails)
+    r = sweep_decompose(3, n_cases=2, seed=7)
+    problems = ["decompose: column 2 has no positive entry"]
+    assert r.failures == [
+        {"case": case, "seed": verify._case_seed(7, case), "problems": problems} for case in (0, 1)
+    ]
+    assert r.findings == {"max_terms": 0, "term_bound": 9, "seed": 7}
+
+
+def test_oracle_colmaps_reads_a_stack_of_plms():
+    stack = np.array([to_dense(Plm(cm)).entries for cm in ((2, 1, 1), (3, 3, 3))])
+    assert verify._oracle_colmaps(stack) == [(2, 1, 1), (3, 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (((1, 1), (1, 0)), "column 1 has 2 ones"),
+        (((2, 0), (0, 1)), "entry 2 at row 1, column 1 is not 0 or 1"),
+        (((1, 0), (0, 0)), "column 2 has 0 ones"),
+    ],
+)
+def test_oracle_colmaps_refuses_a_product_that_is_not_a_plm(bad, message):
+    # The fallback reads the stack one matrix at a time, so the first bad
+    # product raises from_dense's own error.
+    stack = np.array([((1, 0), (0, 1)), bad, ((0, 0), (1, 1))])
+    with pytest.raises(NotPlmError, match=f"^{message}$"):
+        verify._oracle_colmaps(stack)
+
+
+def test_mul_sweep_raises_when_the_oracle_product_is_not_a_plm(monkeypatch):
+    monkeypatch.setattr(verify, "oracle_multiply", lambda a, b: a + b)
+    with pytest.raises(NotPlmError):
+        sweep_multiplication(2)
