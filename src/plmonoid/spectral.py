@@ -181,8 +181,9 @@ def periodicity(a: Plm) -> PeriodicityVerdict:
 def char_poly(a: Plm) -> CharPoly:
     """Characteristic polynomial via the Faddeev-LeVerrier trace recursion, exactly.
 
-    M_1 = A, c_k = -trace(M_k)/k, M_{k+1} = A(M_k + c_k I); every division is
-    exact for an integer matrix, which the remainder check enforces.  A acts on
+    M_1 = A, c_k = -trace(M_k)/k, M_{k+1} = A(M_k + c_k I).  Each c_k is a
+    coefficient of det(xI - A), an integer for an integer matrix, so the
+    division by k is exact and floor division computes it.  A acts on
     rows: row i of ``A M`` is the sum of the rows p of M whose column p of A has
     its 1 in row i, so the recursion costs O(d^3).  It starts from I, so its
     first product is M_1.
@@ -196,9 +197,7 @@ def char_poly(a: Plm) -> CharPoly:
         for row, r in zip(m, cm):
             rows[r - 1] = [x + y for x, y in zip(rows[r - 1], row)]
         m = rows
-        c, rem = divmod(-sum(m[i][i] for i in range(d)), k)
-        if rem:
-            raise AssertionError(f"trace recursion produced a non-integer at step {k}")
+        c = -sum(m[i][i] for i in range(d)) // k
         coeffs.append(c)
         for i in range(d):
             m[i][i] += c
@@ -226,7 +225,11 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
 
 
 def _div_monic(p: list[int], q: list[int]) -> list[int]:
-    """p / q for a monic q; the division must be exact."""
+    """The quotient of p by a monic q, with the remainder dropped.
+
+    Its one caller divides x^n - 1 by Phi_k only for k dividing n, and Phi_k
+    divides x^k - 1, which divides x^n - 1, so the remainder is zero.
+    """
     r = list(p)
     k = max(len(p) - len(q) + 1, 0)
     for i in range(k):
@@ -234,8 +237,6 @@ def _div_monic(p: list[int], q: list[int]) -> list[int]:
         if f:
             for j in range(1, len(q)):
                 r[i + j] -= f * q[j]
-    if any(r[k:]):
-        raise AssertionError("polynomial division expected to be exact")
     return r[:k]
 
 
@@ -277,7 +278,10 @@ def _certify(coeffs: tuple[int, ...], factors: list[tuple[list[int], int]]) -> N
         )
 
 
-def _roots_with_multiplicity(cp: CharPoly, factors: list[tuple[list[int], int]]) -> list[complex]:
+def _roots_with_multiplicity(factors: list[tuple[list[int], int]]) -> list[complex]:
+    # Each factor's roots, each repeated to its multiplicity, sorted.  Once
+    # _certify passes, the degrees so weighted sum to d, and np.roots returns
+    # n roots for a monic factor of degree n, so there are d roots.
     roots: list[complex] = []
     for factor, mult in factors:
         if len(factor) == 2:
@@ -287,10 +291,6 @@ def _roots_with_multiplicity(cp: CharPoly, factors: list[tuple[list[int], int]])
             found = np.roots([float(c) for c in factor])
         for z in found:
             roots.extend([complex(z)] * mult)
-    if len(roots) != cp.degree:
-        raise RootFindingError(
-            f"found {len(roots)} roots for a degree-{cp.degree} polynomial"
-        )
     roots.sort(key=lambda z: (z.real, z.imag))
     return roots
 
@@ -346,7 +346,7 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     _certify(cp.coefficients, factors)
     has_zero = cp.coefficients[-1] == 0
     try:
-        roots = _roots_with_multiplicity(cp, factors)
+        roots = _roots_with_multiplicity(factors)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"numeric root finding failed: {exc}") from exc
     dev = max_unity_deviation(roots, period, tol)

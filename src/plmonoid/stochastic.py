@@ -326,13 +326,12 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
 
     Returns the problems found, in this order, or an empty list:
     ``recompose mismatch``, ``weights do not sum to 1``, ``weight outside
-    (0, 1]``, ``too many terms``, then the first fault of the remainder walk,
-    which subtracts the terms from ``m`` one by one and checks the remainder
-    after each: ``negative remainder entry``, ``zero count did not grow`` or
-    ``non-uniform column sums``, else ``nonzero final remainder`` if the walk
-    ends on a nonzero remainder.  The walk is one pass: after the first fault
+    (0, 1]``, then the first fault of the remainder walk, which subtracts the
+    terms from ``m`` one by one and checks the remainder after each:
+    ``negative remainder entry``, ``zero count did not grow`` or
+    ``non-uniform column sums``.  The walk is one pass: after the first fault
     it keeps subtracting without checking, so the remainder it ends on is
-    ``m`` minus the recomposition, and ``recompose mismatch`` reads it too.
+    ``m`` minus the recomposition, and ``recompose mismatch`` reads it.
     Every term takes its weight from each column exactly once, so the column
     sums stay uniform through the walk exactly when every column of ``m``
     sums to the weight total; that is decided before the walk and reported
@@ -341,10 +340,15 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     The terms are not trusted to satisfy :class:`Decomposition`'s own
     validation.  Raises :class:`DimensionMismatchError` when a term's
     dimension differs from ``m``'s.
+
+    No problem is reported for a fault-free walk that ends on a nonzero
+    remainder, or for more than d^2 terms, because the list above already
+    holds one for each.  The first is exactly ``recompose mismatch``.  For
+    the second, while the walk finds no fault each term adds at least one
+    zero to the d x d remainder, so a fault comes by term d^2 + 1.
     """
-    d = m.dim
     for _, p in dec.terms:
-        _require_same_dim(p.dim, d, "term dims")
+        _require_same_dim(p.dim, m.dim, "term dims")
     scale = lcm(
         *[x.denominator for row in m.entries for x in row],
         *[lam.denominator for lam, _ in dec.terms],
@@ -368,16 +372,13 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
         elif not uniform:
             fault = "non-uniform column sums"
         zeros = new_zeros
-    rest = any(map(any, cols))
-    problems = ["recompose mismatch"] if rest else []
+    problems = ["recompose mismatch"] if any(map(any, cols)) else []
     if total != scale:
         problems.append("weights do not sum to 1")
     if not all(0 < w <= scale for w in weights):
         problems.append("weight outside (0, 1]")
-    if len(weights) > d * d:
-        problems.append("too many terms")
-    if fault or rest:
-        problems.append(fault or "nonzero final remainder")
+    if fault:
+        problems.append(fault)
     return problems
 
 
