@@ -11,7 +11,8 @@ So a matrix with nnz positive entries takes at most nnz - d + 1 <= d^2 - d + 1
 terms (also Carathéodory's bound), and the weights sum to 1 exactly.  Those
 invariants hold by construction and are not re-checked;
 :func:`check_decomposition` verifies a decomposition from its terms alone, in
-one pass that subtracts them from the matrix.
+one pass that subtracts them from the matrix and tests each step on the d
+entries it touched, so in O(terms * d) time, no more than the subtraction.
 
 Validation happens where caller data enters: the ``StochasticMatrix`` and
 ``Decomposition`` constructors.  The matrices and decompositions this module
@@ -341,6 +342,14 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     validation.  Raises :class:`DimensionMismatchError` when a term's
     dimension differs from ``m``'s.
 
+    The walk costs O(terms * d): each term's two tests are read off the d
+    entries it touches, in the loop that subtracts it, with no rescan of
+    the d x d remainder.  Two facts make those entries enough.  ``m`` has
+    no negative entry and, before the first fault, neither has the
+    remainder, so only a touched entry can turn negative.  A term touches
+    each column exactly once, so d distinct entries, and the zero count
+    changes by the sum of ``(new == 0) - (old == 0)`` over them.
+
     No problem is reported for a fault-free walk that ends on a nonzero
     remainder, or for more than d^2 terms, because the list above already
     holds one for each.  The first is exactly ``recompose mismatch``.  For
@@ -357,21 +366,23 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     weights = _scaled([lam for lam, _ in dec.terms], scale)
     total = sum(weights)
     uniform = all(sum(col) == total for col in cols)
-    zeros = sum(col.count(0) for col in cols)
     fault = None
     for w, (_, p) in zip(weights, dec.terms):
+        negative, grown = False, 0
         for col, r in zip(cols, p.colmap):
-            col[r - 1] -= w
+            old = col[r - 1]
+            col[r - 1] = new = old - w
+            if new < 0:
+                negative = True
+            grown += (new == 0) - (old == 0)
         if fault:
             continue
-        new_zeros = sum(col.count(0) for col in cols)
-        if min(map(min, cols)) < 0:
+        if negative:
             fault = "negative remainder entry"
-        elif new_zeros <= zeros:
+        elif grown <= 0:
             fault = "zero count did not grow"
         elif not uniform:
             fault = "non-uniform column sums"
-        zeros = new_zeros
     problems = ["recompose mismatch"] if any(map(any, cols)) else []
     if total != scale:
         problems.append("weights do not sum to 1")

@@ -16,7 +16,7 @@ def bench_pairs():
     return module
 
 
-def fake_run(cases_per_s, p50_ms, correct=True, failed=0):
+def fake_run(cases_per_s, p50_ms, correct=True, failed=0, commit="0" * 40):
     return {
         "correct": correct,
         "failed": failed,
@@ -24,7 +24,11 @@ def fake_run(cases_per_s, p50_ms, correct=True, failed=0):
             "cases_per_s": {"value": cases_per_s, "unit": "1/s"},
             "case_p50_ms": {"value": p50_ms, "unit": "ms"},
         },
-        "environment": {"known_defect_failures": 4, "latency_samples": int(cases_per_s)},
+        "environment": {
+            "known_defect_failures": 4,
+            "latency_samples": int(cases_per_s),
+            "git_commit": commit,
+        },
     }
 
 
@@ -47,6 +51,7 @@ def test_wins_medians_and_quartiles(bench_pairs):
     assert (rate["parent_q1"], rate["parent_q3"]) == (92.5, 107.5)
     assert rate["change_wins"] == 3
     assert rate["change_over_parent"] == 1.95
+    assert rate["claim_rule_met"] is False  # 3 of 4 wins
     latency = record["metrics"]["case_p50_ms"]
     # lower is better; the tie at 0.9 counts for neither side
     assert latency["change_wins"] == 2
@@ -109,6 +114,57 @@ def test_memory_line_shows_the_samples_each_side_holds(bench_pairs):
     assert line.startswith("peak_rss_mb    parent         38  change       41.5  x1.092  wins 0/3")
     assert line.endswith("  latency_samples parent 401  change 701")
     assert "latency_samples" not in bench_pairs.pair_line(record, "cases_per_s")
+
+
+def test_claim_rule_needs_nine_tenths_of_wins_and_a_gap_past_the_parent_quartiles(bench_pairs):
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    # 9 of 10 wins; medians 104.5 and 115.5 differ by 11, the parent's
+    # quartiles (102.75 and 106.25) by 3.5
+    change = [99] + [111 + k for k in range(9)]
+    runs = {"parent": [fake_run(r, 1.0) for r in parent],
+            "change": [fake_run(r, 1.0) for r in change]}
+    seeds = list(range(1, 11))
+    rate = bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["cases_per_s"]
+    assert rate["change_wins"] == 9
+    assert rate["claim_rule_met"] is True
+    # all ties: no wins, no claim
+    assert bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["case_p50_ms"][
+        "claim_rule_met"] is False
+    # 8 of 10 wins is too few, however large the gap
+    runs["change"][1] = fake_run(90, 1.0)
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    assert record["metrics"]["cases_per_s"]["change_wins"] == 8
+    assert record["metrics"]["cases_per_s"]["claim_rule_met"] is False
+    assert "wins 8/10  claim rule not met" in bench_pairs.pair_line(record, "cases_per_s")
+    # 10 of 10 wins, but each by 1: the medians differ by 1, less than 3.5
+    runs["change"] = [fake_run(r + 1, 1.0) for r in parent]
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    assert record["metrics"]["cases_per_s"]["change_wins"] == 10
+    assert record["metrics"]["cases_per_s"]["claim_rule_met"] is False
+    # lower is better: a latency gap counts downwards only
+    runs["parent"] = [fake_run(100, 1.0 + k / 100) for k in range(10)]
+    runs["change"] = [fake_run(100, 0.5 + k / 100) for k in range(10)]
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    assert record["metrics"]["case_p50_ms"]["claim_rule_met"] is True
+    assert "wins 10/10  claim rule met" in bench_pairs.pair_line(record, "case_p50_ms")
+    runs["parent"], runs["change"] = runs["change"], runs["parent"]
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    assert record["metrics"]["case_p50_ms"]["claim_rule_met"] is False
+
+
+def test_a_side_without_git_commit_gets_a_warning(bench_pairs):
+    runs = {"parent": [fake_run(100, 1.0), fake_run(100, 1.0, commit=None)],
+            "change": [fake_run(100, 1.0), fake_run(100, 1.0)]}
+    (line,) = bench_pairs.commit_warnings(runs)
+    assert line.startswith("parent: its runs record git_commit null")
+    assert "git worktree add --detach" in line
+    for run in runs["parent"]:
+        run["environment"]["git_commit"] = None
+    for run in runs["change"]:
+        run["environment"]["git_commit"] = None
+    assert [w.split(":")[0] for w in bench_pairs.commit_warnings(runs)] == ["parent", "change"]
+    runs = {side: [fake_run(100, 1.0)] for side in ("parent", "change")}
+    assert bench_pairs.commit_warnings(runs) == []
 
 
 def fake_traced(calls, self_s, idle_s=0.0):

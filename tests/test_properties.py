@@ -545,6 +545,15 @@ def zero_weight(draw, terms, rows):
         terms[i] = (Fraction(0), terms[i][1])
 
 
+def negate_weight(draw, terms, rows):
+    # One term is followed by a copy of itself with its weight negated.  The
+    # copy adds back what the term took, so the entries the term zeroed
+    # leave zero, and the zero count must lose them.
+    if terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        terms.insert(i + 1, (-terms[i][0], terms[i][1]))
+
+
 def empty_terms(draw, terms, rows):
     terms.clear()
 
@@ -564,7 +573,7 @@ def foreign_term(draw, terms, rows):
 
 CORRUPTIONS = (
     drop_term, duplicate_term, reorder_terms, move_a_one, nudge_weight, zero_weight,
-    empty_terms, nudge_entry, foreign_term,
+    negate_weight, empty_terms, nudge_entry, foreign_term,
 )
 
 

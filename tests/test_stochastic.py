@@ -1,6 +1,7 @@
 """Exact decomposition of left stochastic matrices into convex PLM combinations."""
 
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,21 @@ class TestCheckDecomposition:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_decomposition(B, Decomposition(((F(1), identity(2)),)))
+
+    def test_d128_check_within_budget(self, traced):
+        # The verifier alone on 11,977 terms at d = 128: 0.36-0.46 s measured
+        # on a 2-CPU x86-64 VM (Python 3.11), so the budget is three times
+        # the slowest reading.  The walk that rescanned all d^2 entries after
+        # each term took 8.1 s there.  Under a tracer only the result is
+        # checked.
+        m = random_left_stochastic(128, seed=0)
+        dec = decompose(m)
+        t0 = time.perf_counter()
+        problems = check_decomposition(m, dec)
+        elapsed = time.perf_counter() - t0
+        assert problems == []
+        if not traced:
+            assert elapsed < 1.4, f"d = 128 check took {elapsed:.2f} s (budget 1.4 s)"
 
 
 class TestConvexCombine:

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import json
-import sys
 import time
 
 import numpy as np
@@ -132,15 +131,6 @@ def test_chunks_partition_the_range():
             sizes = [stop - start for start, stop in spans]
             assert max(sizes) - min(sizes) <= 1
     assert _chunks(0, 3) == [(0, 0)]
-
-
-def _traced() -> bool:
-    # True under sys.settrace (coverage's tracer before Python 3.12, or a
-    # debugger) or a sys.monitoring coverage tool (3.12 and later).
-    monitoring = getattr(sys, "monitoring", None)
-    return sys.gettrace() is not None or bool(
-        monitoring and monitoring.get_tool(monitoring.COVERAGE_ID)
-    )
 
 
 class InlinePool:
@@ -309,7 +299,7 @@ class TestMultiplicationSweep:
             }
         ]
 
-    def test_d5_slice_within_budget(self):
+    def test_d5_slice_within_budget(self, traced):
         # 200,000 of the 9,765,625 pairs at d = 5, the first 64 left operands
         # and part of the 65th: 2.3-3.2 s measured on a 2-CPU x86-64 VM
         # (Python 3.11), so the budget is three times the slowest reading.
@@ -319,7 +309,7 @@ class TestMultiplicationSweep:
         failures, _ = _mul_chunk(5, 0, 200_000)
         elapsed = time.perf_counter() - t0
         assert failures == []
-        if not _traced():
+        if not traced:
             assert elapsed < 10.0, f"d = 5 slice took {elapsed:.2f} s (budget 10 s)"
 
 

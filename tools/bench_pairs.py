@@ -15,12 +15,21 @@ the change reads better in the direction BENCHMARK.json gives (ties count
 for neither side).  It also holds the metric's BENCHMARK.json ``bound`` and
 ``within_bound``, false when the change's median is worse than the parent's
 by more than that bound, as a share of the parent's median; a line is
-printed for each metric outside its bound.  ``peak_rss_mb`` also holds, and
+printed for each metric outside its bound.  ``claim_rule_met`` applies the
+rule a claimed gain must meet: true when the change wins at least nine
+tenths of the pairs and its median is better than the parent's by more than
+the parent's quartile distance (``parent_q3 - parent_q1``); each metric's
+printed line says whether it is met.  ``peak_rss_mb`` also holds, and
 its printed line gives, each side's median ``latency_samples``
 (``latency_samples_median``).  The record is stored
 under the key ``NAME_pairs`` of the OUT file, next to whatever else that
 file holds.
 Exits 1 if a run fails, is incorrect or has failed cases.
+
+The record names each checkout by the ``git_commit`` and ``source_sha256``
+of its runs.  A checkout without git metadata (one made with ``git
+archive``) records ``git_commit: null``, and a warning is printed for that
+side; ``git worktree add --detach`` or ``git clone`` keeps the commit.
 
 With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
 the record holds every per-layer metric: both sides' values by seed and
@@ -118,6 +127,11 @@ def summarize_pairs(seeds: list[int], runs: dict, metrics: dict) -> dict:
         worse_by = sign * (1 - stats["change_over_parent"])
         stats["bound"] = spec["bound"]
         stats["within_bound"] = worse_by <= spec["bound"]
+        stats["claim_rule_met"] = (
+            10 * stats["change_wins"] >= 9 * len(seeds)
+            and sign * (stats["change_median"] - stats["parent_median"])
+            > stats["parent_q3"] - stats["parent_q1"]
+        )
         if name == "peak_rss_mb":
             stats["latency_samples_median"] = {
                 side: statistics.median(record["latency_samples"][side]) for side in SIDES
@@ -132,11 +146,22 @@ def pair_line(record: dict, name: str) -> str:
     samples in memory, so a side that runs more cases reads as more memory."""
     s = record["metrics"][name]
     line = (f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
-            f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(record['seeds'])}")
+            f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(record['seeds'])}"
+            f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}")
     if name == "peak_rss_mb":
         samples = s["latency_samples_median"]
         line += f"  latency_samples parent {samples['parent']:g}  change {samples['change']:g}"
     return line
+
+
+def commit_warnings(runs: dict) -> list[str]:
+    """A warning for each side some of whose runs record no ``git_commit``."""
+    return [
+        f"{side}: its runs record git_commit null, so the record names this checkout"
+        " only by source_sha256 (git worktree add --detach or git clone keeps the commit)"
+        for side in SIDES
+        if any(r["environment"]["git_commit"] is None for r in runs[side])
+    ]
 
 
 def summarize_traced(seeds: list[int], runs: dict) -> dict:
@@ -199,6 +224,8 @@ def main() -> int:
         side: {k: runs[side][0]["environment"][k] for k in ("git_commit", "source_sha256")}
         for side in SIDES
     }
+    for line in commit_warnings(runs):
+        print(line, file=sys.stderr)
     stored = json.loads(args.out.read_text()) if args.out.exists() else {}
     stored[f"{args.workload}_{'traced' if args.trace else 'pairs'}"] = record
     args.out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
