@@ -385,9 +385,9 @@ def is_permutation(a: Plm) -> bool:
 
 # Column-map kernels.  The structural route runs on raw column maps through
 # these helpers, and the public classify / canonicalize / cplm_parts delegate
-# to them, so each case test and each block formula exists once.  The first
-# three take the label ``one`` of the current first row, so the peel in
-# _smul applies them to a slice am[k:] of a column map with one = k + 1.
+# to them, so each case test exists once.  Each takes the label ``one`` of
+# the current first row, so the peel in _smul applies them to a slice am[k:]
+# of a column map with one = k + 1.
 
 def _classify(cm, one: int = 1) -> tuple[str, object]:
     # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
@@ -422,17 +422,6 @@ def _free_row(cm, one: int = 1) -> int:
 def _swap_rows(cm, r: int, one: int = 1) -> tuple[int, ...]:
     # Relabel rows by the transposition (one r).
     return tuple([r if x == one else one if x == r else x for x in cm])
-
-
-def _tail(cm: tuple[int, ...]) -> tuple[int, ...]:
-    # Rows 2..d of column 1, as 0/1 entries.
-    first = cm[0]
-    return tuple([1 if first == i else 0 for i in range(2, len(cm) + 1)])
-
-
-def _plc(cm: tuple[int, ...]) -> tuple[int, ...]:
-    # A CPLM's column map with row 1 and column 1 deleted.
-    return tuple([r - 1 for r in cm[1:]])
 
 
 def classify(a: Plm) -> PlmClass:
@@ -473,9 +462,11 @@ def cplm_parts(a: Plm) -> CplmParts:
     kind, detail = _classify(cm)
     if not (kind == "cplm" or (kind == "rowplm" and detail > 1)):
         raise NotCplmError(f"not canonical: colmap {cm}")
-    return _trusted(
-        CplmParts, leading=1 if cm[0] == 1 else 0, v=_tail(cm), plc=_plm_trusted(_plc(cm))
-    )
+    first = cm[0]
+    # v is rows 2..d of column 1; the PLC drops row 1 and column 1.
+    v = tuple([1 if first == i else 0 for i in range(2, len(cm) + 1)])
+    plc = _plm_trusted(tuple([r - 1 for r in cm[1:]]))
+    return _trusted(CplmParts, leading=1 if first == 1 else 0, v=v, plc=plc)
 
 
 def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:

@@ -86,9 +86,11 @@ class PeriodicityVerdict:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """det(xI - A) with exact integer coefficients, leading first, monic."""
+    """det(xI - A) with exact integer coefficients, leading first, monic.
 
-    degree: int
+    The degree is ``len(coefficients) - 1``, the dimension of A.
+    """
+
     coefficients: tuple[int, ...]
 
 
@@ -201,7 +203,7 @@ def char_poly(a: Plm) -> CharPoly:
         coeffs.append(c)
         for i in range(d):
             m[i][i] += c
-    return CharPoly(degree=d, coefficients=tuple(coeffs))
+    return CharPoly(coefficients=tuple(coeffs))
 
 
 def one_norm(a: Plm) -> int:
@@ -246,7 +248,7 @@ def _squarefree_factors(d: int, lengths: list[int]) -> list[tuple[list[int], int
     Phi_n, built as (x^n - 1) over Phi_k for each proper divisor k of n, has
     multiplicity #{l : n | l}, and x has d - c.  Returns (product of the
     factors of one multiplicity, that multiplicity) pairs in increasing
-    multiplicity, as Yun's square-free decomposition orders them.
+    multiplicity, the order sympy's ``sqf_list`` gives them in.
     """
     phi: dict[int, list[int]] = {}
     for n in range(1, max(lengths) + 1):
@@ -299,15 +301,15 @@ def max_unity_deviation(roots, period: int, tol: float) -> float:
     """Worst distance of any root from {0} union the period-th roots of unity.
 
     A root counts as zero when its modulus is within tol; otherwise its
-    deviation is how far it sits from the unit circle or from satisfying
-    ``z^period == 1``, whichever is worse.
+    deviation is ``|z^period - 1|``.  For ``period >= 1`` that is at least
+    ``||z| - 1|``, so the root's distance from the unit circle needs no test
+    of its own.
     """
     worst = 0.0
     for z in roots:
         if abs(z) <= tol:
             continue
-        dev = max(abs(abs(z) - 1.0), abs(z**period - 1.0))
-        worst = max(worst, dev)
+        worst = max(worst, abs(z**period - 1.0))
     return worst
 
 

@@ -47,6 +47,7 @@ from .core import (
     _require_same_dim,
     _require_square,
     _trusted,
+    to_dense,
 )
 from .errors import (
     InvalidArgumentError,
@@ -156,11 +157,7 @@ class StochasticMatrix:
 
     @classmethod
     def from_plm(cls, a: Plm) -> "StochasticMatrix":
-        d = a.dim
-        one, zero = Fraction(1), Fraction(0)
-        rows = tuple(
-            tuple(one if a.colmap[j] == i else zero for j in range(d)) for i in range(1, d + 1)
-        )
+        rows = tuple(tuple(map(Fraction, row)) for row in to_dense(a).entries)
         return _trusted(cls, entries=rows)
 
     def column_sums(self) -> tuple[Fraction, ...]:

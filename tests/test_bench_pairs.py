@@ -152,6 +152,50 @@ def test_claim_rule_needs_nine_tenths_of_wins_and_a_gap_past_the_parent_quartile
     assert record["metrics"]["case_p50_ms"]["claim_rule_met"] is False
 
 
+def test_a_parent_spread_past_the_bound_leaves_the_metric_unresolved(bench_pairs):
+    seeds = list(range(1, 11))
+    # parent quartiles 94.75 and 105.25 around a median of 100: a spread of
+    # 0.105, within the 0.2 bound, so a change of x0.75 is resolved (and
+    # outside the bound)
+    parent = [90, 94, 95, 96, 99, 101, 104, 105, 106, 110]
+    runs = {"parent": [fake_run(r, 1.0) for r in parent],
+            "change": [fake_run(0.75 * r, 1.0) for r in parent]}
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    rate = record["metrics"]["cases_per_s"]
+    assert (rate["parent_q1"], rate["parent_median"], rate["parent_q3"]) == (94.75, 100, 105.25)
+    assert rate["resolved"] is True
+    assert rate["within_bound"] is False
+    assert "unresolved" not in bench_pairs.pair_line(record, "cases_per_s")
+    # quartiles 78.75 and 121.25: a spread of 0.425, past the bound
+    parent = [60, 75, 80, 85, 95, 105, 115, 120, 125, 140]
+    runs["parent"] = [fake_run(r, 1.0) for r in parent]
+    runs["change"] = [fake_run(r + 1, 1.0) for r in parent]
+    record = bench_pairs.summarize_pairs(seeds, runs, METRICS)
+    rate = record["metrics"]["cases_per_s"]
+    assert rate["resolved"] is False
+    assert rate["within_bound"] is True
+    assert bench_pairs.pair_line(record, "cases_per_s").endswith("claim rule not met  unresolved")
+    # equal runs on both sides have no spread
+    assert record["metrics"]["case_p50_ms"]["resolved"] is True
+    # unless every change run reads better than every parent run, in the
+    # metric's direction: 141 and up beats the parent's best of 140
+    runs["change"] = [fake_run(141 + k, 1.0) for k in range(10)]
+    assert bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["cases_per_s"]["resolved"]
+    runs["change"][0] = fake_run(140, 1.0)  # a tie with the parent's best
+    assert not bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["cases_per_s"][
+        "resolved"]
+    # lower is better: latencies all below the parent's least are resolved,
+    # all above its greatest are not
+    runs["parent"] = [fake_run(100, 0.6 + k / 10) for k in range(10)]
+    runs["change"] = [fake_run(100, 0.5 - k / 100) for k in range(10)]
+    latency = bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["case_p50_ms"]
+    assert (latency["parent_q3"] - latency["parent_q1"]) / latency["parent_median"] > 0.2
+    assert latency["resolved"] is True
+    runs["change"] = [fake_run(100, 1.6 + k / 100) for k in range(10)]
+    latency = bench_pairs.summarize_pairs(seeds, runs, METRICS)["metrics"]["case_p50_ms"]
+    assert latency["resolved"] is False
+
+
 def test_a_side_without_git_commit_gets_a_warning(bench_pairs):
     runs = {"parent": [fake_run(100, 1.0), fake_run(100, 1.0, commit=None)],
             "change": [fake_run(100, 1.0), fake_run(100, 1.0)]}

@@ -3,8 +3,10 @@ the documented contracts of classify and canonicalize, the periodicity verdict
 against a scan of the powers, the power cycle against a dict of every power,
 the characteristic polynomial against sympy, and the square-free factors read
 off the cycle lengths against sympy's factors of the characteristic
-polynomial, also on maps drawn by cycle type; on hostile left stochastic
-matrices: the integer greedy decomposition against a Fraction reference, and
+polynomial, also on maps drawn by cycle type, and the one-term unity
+deviation against the two-term one it replaced on cycle types up to d = 90;
+on hostile left stochastic matrices: the integer greedy decomposition
+against a Fraction reference, and
 the verifier on its output; on corrupted decompositions of seeded matrices:
 the one-pass verifier against the full walk it replaced;
 and on token grids: the dense text reader and ``from_dense`` against the
@@ -65,7 +67,13 @@ from plmonoid.formats import (
     plm_to_text,
     stochastic_to_text,
 )
-from plmonoid.spectral import _graph, _squarefree_factors
+from plmonoid.spectral import (
+    DEFAULT_TOL,
+    _graph,
+    _roots_with_multiplicity,
+    _squarefree_factors,
+    max_unity_deviation,
+)
 from plmonoid.stochastic import _accumulate, _int_columns, _scaled
 from plmonoid.verify import oracle_multiply
 
@@ -288,6 +296,52 @@ def test_squarefree_factors_match_sympy(a):
     _, expected = sympy.sqf_list(sympy.Poly(char_poly(a).coefficients, sympy.Symbol("x")))
     factors = _squarefree_factors(a.dim, _graph(a.colmap)[1])
     assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
+
+
+MAX_CYCLE_TYPE_D = 90
+# Prime powers, the cycle lengths of the permutations of high lcm: 4, 5, 7,
+# 9, 11, 13, 17 and 19 (d = 85) have an lcm of 58,198,140.
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29)
+
+
+@st.composite
+def cycle_types(draw):
+    """A dimension d <= 90 and the cycle lengths of a map on it: distinct prime
+    powers (a permutation when they fill d) or lengths drawn one by one.  The
+    d - sum(lengths) nodes left over lie off the cycles."""
+    if draw(st.booleans()):
+        lengths = draw(
+            st.lists(st.sampled_from(PRIME_POWERS), min_size=1, max_size=10, unique=True)
+            .filter(lambda ls: sum(ls) <= MAX_CYCLE_TYPE_D)
+        )
+    else:
+        lengths = [draw(st.integers(1, MAX_CYCLE_TYPE_D))]
+        while sum(lengths) < MAX_CYCLE_TYPE_D and draw(st.booleans()):
+            lengths.append(draw(st.integers(1, MAX_CYCLE_TYPE_D - sum(lengths))))
+    return draw(st.integers(sum(lengths), MAX_CYCLE_TYPE_D)), lengths
+
+
+def two_term_deviation(roots, period, tol):
+    # max_unity_deviation as it was, with its own test of the modulus.
+    worst = 0.0
+    for z in roots:
+        if abs(z) <= tol:
+            continue
+        dev = max(abs(abs(z) - 1.0), abs(z**period - 1.0))
+        worst = max(worst, dev)
+    return worst
+
+
+@SPECTRAL_SETTINGS
+@given(cycle_types())
+def test_unity_deviation_needs_no_modulus_test(case):
+    # |z^t - 1| >= ||z|^t - 1| >= ||z| - 1| for t >= 1, so the distance from
+    # the unit circle never decides the deviation, in floats too.
+    d, lengths = case
+    roots = _roots_with_multiplicity(_squarefree_factors(d, lengths))
+    period = lcm(*lengths)
+    dev = max_unity_deviation(roots, period, DEFAULT_TOL)
+    assert dev == two_term_deviation(roots, period, DEFAULT_TOL)
 
 
 # --- decomposition -----------------------------------------------------------

@@ -19,11 +19,14 @@ printed for each metric outside its bound.  ``claim_rule_met`` applies the
 rule a claimed gain must meet: true when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the parent's quartile distance (``parent_q3 - parent_q1``); each metric's
-printed line says whether it is met.  ``peak_rss_mb`` also holds, and
-its printed line gives, each side's median ``latency_samples``
-(``latency_samples_median``).  The record is stored
-under the key ``NAME_pairs`` of the OUT file, next to whatever else that
-file holds.
+printed line says whether it is met.  ``resolved`` is false when that
+distance, as a share of the parent's median, exceeds the metric's bound,
+unless every run of the change reads better than every run of the parent:
+the runs then spread too widely to tell a change within the bound from one
+past it, and the printed line says "unresolved".  ``peak_rss_mb`` also
+holds, and its printed line gives, each side's median ``latency_samples``
+(``latency_samples_median``).  The record is stored under the key
+``NAME_pairs`` of the OUT file, next to whatever else that file holds.
 Exits 1 if a run fails, is incorrect or has failed cases.
 
 The record names each checkout by the ``git_commit`` and ``source_sha256``
@@ -127,10 +130,14 @@ def summarize_pairs(seeds: list[int], runs: dict, metrics: dict) -> dict:
         worse_by = sign * (1 - stats["change_over_parent"])
         stats["bound"] = spec["bound"]
         stats["within_bound"] = worse_by <= spec["bound"]
+        spread = stats["parent_q3"] - stats["parent_q1"]
         stats["claim_rule_met"] = (
             10 * stats["change_wins"] >= 9 * len(seeds)
-            and sign * (stats["change_median"] - stats["parent_median"])
-            > stats["parent_q3"] - stats["parent_q1"]
+            and sign * (stats["change_median"] - stats["parent_median"]) > spread
+        )
+        stats["resolved"] = (
+            spread <= spec["bound"] * stats["parent_median"]
+            or min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
         )
         if name == "peak_rss_mb":
             stats["latency_samples_median"] = {
@@ -147,7 +154,8 @@ def pair_line(record: dict, name: str) -> str:
     s = record["metrics"][name]
     line = (f"{name:14s} parent {s['parent_median']:10.4g}  change {s['change_median']:10.4g}"
             f"  x{s['change_over_parent']:.3f}  wins {s['change_wins']}/{len(record['seeds'])}"
-            f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}")
+            f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}"
+            f"{'' if s['resolved'] else '  unresolved'}")
     if name == "peak_rss_mb":
         samples = s["latency_samples_median"]
         line += f"  latency_samples parent {samples['parent']:g}  change {samples['change']:g}"
