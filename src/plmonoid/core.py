@@ -383,18 +383,17 @@ def is_permutation(a: Plm) -> bool:
     return len(set(a.colmap)) == a.dim
 
 
-# Column-map kernels.  The structural route runs on raw column maps through
-# these helpers, and the public classify / canonicalize / cplm_parts delegate
-# to them, so each case test exists once.  Each takes the label ``one`` of
-# the current first row, so the peel in _smul applies them to a slice am[k:]
-# of a column map with one = k + 1.
+# Column-map kernel.  _classify is the one home of the case tests: the public
+# classify and cplm_parts delegate to it, and the peel in _smul applies it to
+# the slice bm[k:] of the right factor's column map with one = k + 1, the
+# label of that slice's first row.
 
 def _classify(cm, one: int = 1) -> tuple[str, object]:
     # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
     # the column of the lone first-row 1, or ("iplm", None).  The first row
     # is label ``one``, and the columns are numbered from ``one`` as well, so
-    # a slice cm = am[k:] of a longer map is classified with one = k + 1 and
-    # m and c come back as labels and columns of am.
+    # a slice cm = bm[k:] of a longer map is classified with one = k + 1 and
+    # m and c come back as labels and columns of bm.
     m = cm[0]
     if cm.count(m) == len(cm):
         return "rowplm", m
@@ -407,21 +406,6 @@ def _classify(cm, one: int = 1) -> tuple[str, object]:
             return "cplm", True
         return "pcplm", c
     return "iplm", None
-
-
-def _free_row(cm, one: int = 1) -> int:
-    # The smallest row from label ``one`` on that is zero throughout the
-    # columns after the first.
-    hit = set(cm[1:])
-    r = one
-    while r in hit:
-        r += 1
-    return r
-
-
-def _swap_rows(cm, r: int, one: int = 1) -> tuple[int, ...]:
-    # Relabel rows by the transposition (one r).
-    return tuple([r if x == one else one if x == r else x for x in cm])
 
 
 def classify(a: Plm) -> PlmClass:
@@ -449,10 +433,15 @@ def canonicalize(a: Plm) -> tuple[Permutation, Plm]:
     2..d.  Such a row always exists because columns 2..d occupy at most d-1
     rows.  Note the one non-canonical row PLM, R_1, lands on R_2.
     """
-    r = _free_row(a.colmap)
+    cm = a.colmap
+    hit = set(cm[1:])
+    r = 1
+    while r in hit:
+        r += 1
     if r == 1:
         return Permutation.identity(a.dim), a
-    return Permutation.transposition(a.dim, 1, r), _plm_trusted(_swap_rows(a.colmap, r))
+    swapped = tuple([r if x == 1 else 1 if x == r else x for x in cm])
+    return Permutation.transposition(a.dim, 1, r), _plm_trusted(swapped)
 
 
 def cplm_parts(a: Plm) -> CplmParts:
@@ -496,30 +485,34 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
     1. left factor a row PLM: the product is that row PLM (left absorption);
     2. right factor a row PLM R_m: every product column is column m of ``a``;
-    3. otherwise canonicalize the left factor with a row relabelling sigma,
-       multiply in canonical position, and undo sigma afterwards.
+    3. otherwise the right factor decides the case, and the left factor is
+       read as it stands: each case reads product columns off columns of
+       the left factor, and a row relabelling moves no column, so the left
+       factor is not brought into canonical form first (:func:`canonicalize`
+       still does that for callers that want the form).
 
-    In canonical position the right factor decides the case: a CPLM multiplies
-    blockwise with the product of the two PLCs, a PCPLM is conjugated into
-    canonical position by its column witness, and an IPLM is handled by
-    regrouping its first-row ones into a leading run: the product's columns
-    in that run are column 1 of the left factor (its leading entry over the
-    tail-column correction), and each other column is the PLC column picked
-    by the right factor's row in the lower block.  Each column is read off
-    the column maps and written straight to its original position, so the
-    regrouped matrices and the correction block are never formed.
+    A CPLM right factor gives product column 1 as a column of the left
+    factor, and the rest as the product of the left factor's columns 2..d
+    with the right factor's PLC; a PCPLM is brought into canonical position
+    by its column witness; and an IPLM is handled by regrouping its
+    first-row ones into a leading run: the product's columns in that run
+    are column 1 of the left factor, and each other column is the column of
+    the left factor that the right factor's row in the lower block picks.
+    Each column is read off the column maps and written straight to its
+    original position, so the regrouped matrices and the correction block
+    are never formed.
 
-    The PLC products run as a loop, not a recursion, so a permutation of any
-    dimension (which takes the CPLM or PCPLM case at every step) multiplies
-    without hitting the recursion limit.  The loop peels in place on
-    unshifted labels: at level k the live factors are the slices of the
-    column maps from column k+1 on, whose first row is row k+1.  Each level
-    tests the left slice for a row PLM (that test only), classifies the
-    right slice, relabels rows (k+1 r) with r the left slice's free row,
-    and, for a PCPLM, swaps the lone first-row 1 into column k+1.  The PLCs
-    are then the slices from column k+2, as they stand, so no label is
-    shifted down on the way in or up on the way out.  Each level, and the
-    IPLM step, costs O(d) time and memory.
+    The products with the PLC run as a loop, not a recursion, so a
+    permutation of any dimension (which takes the CPLM or PCPLM case at
+    every step) multiplies without hitting the recursion limit.  The loop
+    peels in place on unshifted labels: at level k the live factors are the
+    slices of the column maps from column k+1 on, and the right slice's
+    first row is row k+1.  Each level tests the left slice for a row PLM
+    (that test only), classifies the right slice, and, for a PCPLM, swaps
+    the lone first-row 1 into column k+1.  The next level's factors are
+    then the slices from column k+2, as they stand, so no label is shifted
+    down on the way in or up on the way out.  Each level, and the IPLM
+    step, costs O(d) time and memory.
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
@@ -533,21 +526,20 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
     # The structural product of two column maps of equal length, peeled in
     # place on unshifted labels.  At level k the live factors a and b are the
-    # slices am[k:] and bm[k:] (a with its rows relabelled so far), whose 1s
-    # lie in rows k+1.., so their first row is label one = k + 1.  Each level
-    # decides, in order: left row PLM (the product is a); right row PLM R_m
-    # (every product column is column m of a); else the free row r of a and
-    # the relabel (one r) that makes a a CPLM; then an IPLM b gives the rest
-    # of the product by the block step, and a CPLM or PCPLM b (its lone
-    # first-row 1 swapped into column k+1) gives product column k+1.  Then
-    # a[1:] and b[1:] avoid row one, so they are the PLCs as they stand (b,
-    # a list copy of bm, drops its first entry in place).  The relabels are
-    # composed into one label map pi (built at the first one) and applied to
-    # each product entry as it is written, so the way back only undoes the
-    # column swaps, latest first.
+    # slices am[k:] and bm[k:]; b's 1s lie in rows k+1.., so its first row is
+    # label one = k + 1.  Each level decides, in order: left row PLM (the
+    # product is a); right row PLM R_m (every product column is column m of
+    # a); then an IPLM b gives the rest of the product by the block step, and
+    # a CPLM or PCPLM b (its lone first-row 1 swapped into column k+1) gives
+    # product column k+1.  The only test on a, the row-PLM test, survives
+    # any row relabel, and every case copies whole columns of a, so each
+    # holds whether or not a's first row is empty past column one: a is not
+    # relabelled into canonical form, and each entry is written as read.  Then b[1:] avoids row one, so it is b's PLC as it stands, and
+    # the rest of the product is a[1:] times it (b, a list copy of bm, drops
+    # its first entry in place); the way back only undoes the column swaps,
+    # latest first.
     a, b = am, list(bm)
     out = []  # product columns 1..k
-    pi = None
     swaps = []
     one = 1
     while True:
@@ -558,13 +550,6 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
         if kind == "rowplm":
             prod = (a[detail - one],) * len(a)
             break
-        r = _free_row(a, one)
-        if r != one:
-            a = _swap_rows(a, r, one)
-            if pi is None:
-                pi = list(range(len(am) + 1))
-            pi[one], pi[r] = pi[r], pi[one]
-        # a is now a CPLM; b is anything but a row PLM.
         if kind == "iplm":
             prod = _smul_iplm(a, b, one)
             break
@@ -573,29 +558,29 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
             b[0], b[c] = b[c], b[0]
             swaps.append((one - 1, detail - 1))
         # b's first column has its 1 in row b[0], so product column k+1 is
-        # column b[0] of a; when b[0] > one that row is below row one, since
-        # a is canonical.
-        first = a[b[0] - one]
-        out.append(pi[first] if pi else first)
+        # column b[0] of a.
+        out.append(a[b[0] - one])
         a = a[1:]
         del b[0]
         one += 1
-    out += [pi[x] for x in prod] if pi else prod
+    out += prod
     for i, j in reversed(swaps):
         out[i], out[j] = out[j], out[i]
     return tuple(out)
 
 
 def _smul_iplm(a, b: list[int], one: int) -> list[int]:
-    # a is a CPLM with first row ``one`` and blocks [[l, 0], [v, P]], P its
-    # PLC; b has z first-row ones, 1 < z < len(b).  Regrouping b's columns so
-    # that these ones lead gives blocks [[1, u], [0, B']] with
-    # u = (1,)*(z-1) + (0,)*(len(b)-z), and the product
-    # [[l, l*u], [v, v*u + P*B']].  In the z-1 columns where u is 1, B' is
-    # zero (the column's one 1 is in row one), so the correction block v*u
-    # alone fills them: with l above, each of the first z columns is column 1
-    # of a.  Every other column has its 1 in a row x > one of b, so it is 0
-    # over column x - one of P.  Each column is written straight to its
-    # original position, and the regrouped matrices are never formed.
-    first, plc = a[0], a[1:]  # plc: P's column map, rows counted in a
-    return [first if x == one else plc[x - one - 1] for x in b]
+    # a is any PLM slice whose columns are numbered from ``one``, read as
+    # blocks [[l, w], [v, P]] with (l over v) its first column and (w over
+    # P) the rest; b has z first-row ones, 1 < z < len(b).  Regrouping b's
+    # columns so that these ones lead gives blocks [[1, u], [0, B']] with
+    # u = (1,)*(z-1) + (0,)*(len(b)-z), and a product whose first z columns
+    # are each column 1 of a (l over v, where the correction block v*u fills
+    # the z-1 columns in which B' is zero).  Every other column has its 1 in
+    # a row x > one of b, so it is column x - one + 1 of a, w's entry over
+    # P's column.  The formula reads only columns of a, so it holds whether
+    # or not a's first row is empty past column one.  Each column is written
+    # straight to its original position, and the regrouped matrices are
+    # never formed.
+    first, rest = a[0], a[1:]  # rest: the columns after the first
+    return [first if x == one else rest[x - one - 1] for x in b]

@@ -50,7 +50,7 @@ from .core import (
     to_dense,
 )
 from .errors import InvalidArgumentError, RootFindingError
-from .spectral import DEFAULT_TOL, eigen_check, periodicity
+from .spectral import DEFAULT_TOL, check_tol, eigen_check, periodicity
 from .stochastic import check_decomposition, decompose, random_left_stochastic
 
 RANDOM_MAX_DENOMINATOR = 1000
@@ -306,7 +306,9 @@ def _eigen_chunk(d: int, tol: float, start: int, stop: int):
 
 def sweep_eigen(d: int, tol: float = DEFAULT_TOL, workers: int = 1) -> SweepReport:
     """Exact power identity, numeric root locations, and the zero-eigenvalue
-    criterion, for every PLM of dimension d."""
+    criterion, for every PLM of dimension d.  A bad ``tol`` raises
+    :class:`InvalidArgumentError` before any chunk runs or process starts."""
+    check_tol(tol)
     return _sweep(
         "eigen",
         d,

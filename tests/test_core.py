@@ -319,8 +319,9 @@ class TestActions:
             images = list(range(1, d + 1))
             rng.shuffle(images)
             p = Permutation(tuple(images))
-            assert permute_rows(p, multiply(a, b)) == multiply(permute_rows(p, a), b)
-            assert permute_columns(p, multiply(a, b)) == multiply(a, permute_columns(p, b))
+            for mul in (multiply, structural_multiply):
+                assert permute_rows(p, mul(a, b)) == mul(permute_rows(p, a), b)
+                assert permute_columns(p, mul(a, b)) == mul(a, permute_columns(p, b))
 
 
 def test_first_row_ones_counts_row_one_hits():

@@ -176,12 +176,12 @@ def test_structural_multiply_is_associative_on_deep_peels(triple):
 @given(st.integers(2, DEEP_D).flatmap(lambda d: st.tuples(permutations(d), permutations(d))))
 def test_permutation_products_peel_every_level(pair):
     # Neither slice is a row PLM before the last column, so the product
-    # passes the free-row step at every level k = 0..d-2 and ends on a row
-    # PLM of dimension 1.
+    # classifies the right slice at every level k = 0..d-2, with first row
+    # one = k + 1, and ends on a row PLM of dimension 1.
     a, b = pair
-    with mock.patch.object(core, "_free_row", wraps=core._free_row) as free_row:
+    with mock.patch.object(core, "_classify", wraps=core._classify) as spy:
         prod = structural_multiply(a, b)
-    assert [call.args[1] for call in free_row.call_args_list] == list(range(1, a.dim))
+    assert [call.args[1] for call in spy.call_args_list] == list(range(1, a.dim))
     assert prod == multiply(a, b)
 
 

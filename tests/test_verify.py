@@ -381,6 +381,16 @@ class TestEigenSweep:
         # A failed case is left out of the tallies.
         assert r.findings == {"period_histogram": {"1": 3}, "zero_eigenvalue_count": 2}
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_tolerance_is_refused_before_any_chunk(self, monkeypatch, tol, workers):
+        def no_chunk(*args):
+            pytest.fail(f"_eigen_chunk ran on {args!r}")
+
+        monkeypatch.setattr(verify, "_eigen_chunk", no_chunk)
+        with pytest.raises(InvalidArgumentError, match="^tolerance must be "):
+            sweep_eigen(3, tol=tol, workers=workers)
+
     def test_failed_zero_eigenvalue_is_one_failure_record(self, monkeypatch):
         real = verify.is_permutation
         monkeypatch.setattr(verify, "is_permutation", lambda a: a.colmap == (1, 1) or real(a))
