@@ -488,8 +488,8 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     3. otherwise the right factor decides the case, and the left factor is
        read as it stands: each case reads product columns off columns of
        the left factor, and a row relabelling moves no column, so the left
-       factor is not brought into canonical form first (:func:`canonicalize`
-       still does that for callers that want the form).
+       factor is not brought into canonical form (:func:`canonicalize`
+       gives that form to callers that want it).
 
     A CPLM right factor gives product column 1 as a column of the left
     factor, and the rest as the product of the left factor's columns 2..d
@@ -534,10 +534,11 @@ def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
     # product column k+1.  The only test on a, the row-PLM test, survives
     # any row relabel, and every case copies whole columns of a, so each
     # holds whether or not a's first row is empty past column one: a is not
-    # relabelled into canonical form, and each entry is written as read.  Then b[1:] avoids row one, so it is b's PLC as it stands, and
-    # the rest of the product is a[1:] times it (b, a list copy of bm, drops
-    # its first entry in place); the way back only undoes the column swaps,
-    # latest first.
+    # relabelled into canonical form, and each entry is written as read.
+    # Then b[1:] avoids row one, so it is b's PLC as it stands, and the rest
+    # of the product is a[1:] times it (b, a list copy of bm, drops its first
+    # entry in place); the way back only undoes the column swaps, latest
+    # first.
     a, b = am, list(bm)
     out = []  # product columns 1..k
     swaps = []
