@@ -4,15 +4,19 @@ A left stochastic matrix has nonnegative entries and every column summing to
 exactly 1.  Each one is a finite convex combination of permutation-like
 matrices, and the combination here is found greedily: repeatedly locate the
 first positive entry of every column, peel off the PLM those positions form,
-scaled by the smallest entry involved, and continue on the remainder.  Every
-step zeroes at least one more entry while keeping the remainder nonnegative
-with uniform column sums, and the last step zeroes d entries, one per column.
-So a matrix with nnz positive entries takes at most nnz - d + 1 <= d^2 - d + 1
-terms (also Carathéodory's bound), and the weights sum to 1 exactly.  Those
-invariants hold by construction and are not re-checked;
-:func:`check_decomposition` verifies a decomposition from its terms alone, in
-one pass that subtracts them from the matrix and tests each step on the d
-entries it touched, so in O(terms * d) time, no more than the subtraction.
+scaled by the smallest entry involved, and continue on the remainder.  That
+is the northwest-corner rule, which needs no remainder: entry i of column j
+spans the interval of (0, 1] between the column's prefix sums to rows i - 1
+and i.  With W_1 < W_2 < ... the distinct positive prefix sums over all
+columns, term k picks in every column the entry whose interval holds
+(W_(k-1), W_k], with W_0 = 0, and has weight W_k - W_(k-1).  Every column's
+last prefix sum is the same 1, so a matrix with nnz positive entries has at
+most nnz - d + 1 <= d^2 - d + 1 terms (also Carathéodory's bound), and the
+weights sum to 1 exactly.  Those invariants hold by construction and are not
+re-checked; :func:`check_decomposition` verifies a decomposition from its
+terms alone, in one pass that subtracts them from the matrix and tests each
+step on the d entries it touched, so in O(terms * d) time, no more than the
+subtraction.
 
 Validation happens where caller data enters: the ``StochasticMatrix`` and
 ``Decomposition`` constructors.  The matrices and decompositions this module
@@ -281,16 +285,18 @@ def decompose(m: StochasticMatrix) -> Decomposition:
     Raises :class:`NotLeftStochasticError` unless every column sums to 1.
 
     The greedy loop runs on the ints ``L * m``, where ``L`` is the least
-    common multiple of the entry denominators, so the remainder starts with
-    every column summing to ``L``.  Entries only decrease, so each column
-    keeps a pointer to its first positive row that only moves down.  A step
-    subtracts the int weight ``lam`` (the smallest picked entry) from the d
-    picked entries and emits ``Fraction(lam, L)``.  The invariants hold by
-    construction and are not checked again: as ``lam`` is the minimum, no
-    entry goes negative and at least one reaches zero, and as every column
-    loses ``lam``, each column's total equals the remaining weight, so while
-    that is positive every column has a positive entry at or below its
-    pointer.  :func:`check_decomposition` is the one verifier of the result.
+    common multiple of the entry denominators, so every column sums to
+    ``L``.  After emitting weight ``taken``, each column has used up exactly
+    ``taken`` from its top, so its picked entry, at row ``rows[j]``, ends at
+    ``ends[j]``, the column's prefix sum down to that row, and has
+    ``ends[j] - taken`` of it left.  A term's int weight is therefore
+    ``min(ends) - taken``; it is emitted as ``Fraction(min(ends) - taken,
+    L)`` and ``taken`` moves to ``min(ends)``.  Only the columns whose picked
+    entry is then used up (``ends[j] == taken``) move their pointer, down
+    past any zero entries, so the run makes at most d^2 pointer steps and
+    subtracts nothing from the matrix.  While ``taken < L`` every column has
+    weight left at or below its pointer, so no pointer passes row d.
+    :func:`check_decomposition` is the one verifier of the result.
     """
     d = m.dim
     scale = lcm(*[x.denominator for row in m.entries for x in row])
@@ -302,20 +308,18 @@ def decompose(m: StochasticMatrix) -> Decomposition:
                 f"column {j} sums to {_text(total)}, not 1", column=j, total=total
             )
 
-    first = [0] * d
-    remaining = scale
+    rows = [0] * d
+    ends = [0] * d
+    taken = 0
     terms: list[tuple[Fraction, Plm]] = []
-    while remaining > 0:
-        for j, col in enumerate(cols):
-            i = first[j]
-            while col[i] == 0:
-                i += 1
-            first[j] = i
-        lam = min([col[i] for col, i in zip(cols, first)])
-        for col, i in zip(cols, first):
-            col[i] -= lam
-        remaining -= lam
-        terms.append((Fraction(lam, scale), _plm_trusted(tuple([i + 1 for i in first]))))
+    while taken < scale:
+        while taken in ends:
+            j = ends.index(taken)
+            ends[j] += cols[j][rows[j]]
+            rows[j] += 1
+        end = min(ends)
+        terms.append((Fraction(end - taken, scale), _plm_trusted(tuple(rows))))
+        taken = end
     return _trusted(Decomposition, terms=tuple(terms))
 
 

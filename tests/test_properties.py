@@ -6,8 +6,8 @@ off the cycle lengths against sympy's factors of the characteristic
 polynomial, also on maps drawn by cycle type, and the one-term unity
 deviation against the two-term one it replaced on cycle types up to d = 90;
 on hostile left stochastic matrices: the integer greedy decomposition
-against a Fraction reference, and
-the verifier on its output; on corrupted decompositions of seeded matrices:
+against a Fraction reference and against its closed form as a merge of the
+columns' prefix sums, and the verifier on its output; on corrupted decompositions of seeded matrices:
 the one-pass verifier against the full walk it replaced;
 and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, its block scan of writer-form text against the
@@ -21,7 +21,9 @@ product many levels deep, and the seeded decomposition sweep (denominators up to
 """
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from unittest import mock
 
@@ -431,6 +433,24 @@ def test_decompose_matches_fraction_greedy(m):
     dec = decompose(m)
     assert [(lam, p.colmap) for lam, p in dec.terms] == fraction_greedy(m)
     assert check_decomposition(m, dec) == []
+
+
+@DECOMPOSE_SETTINGS
+@given(stochastic())
+def test_decompose_is_the_merge_of_column_prefix_sums(m):
+    # The greedy is the northwest-corner rule.  With W_1 < W_2 < ... the
+    # distinct positive prefix sums over all columns, term k has weight
+    # W_k - W_(k-1), and in each column it picks the row whose prefix sum
+    # first reaches W_k.  Every column ends on 1, so there are at most
+    # nnz - d + 1 of them.
+    prefixes = [list(accumulate(col)) for col in zip(*m.entries)]
+    ends = sorted({s for prefix in prefixes for s in prefix if s > 0})
+    terms = decompose(m).terms
+    assert len(terms) == len(ends)
+    assert len(ends) <= sum(x > 0 for row in m.entries for x in row) - m.dim + 1
+    for (lam, p), lo, hi in zip(terms, [0, *ends], ends):
+        assert lam == hi - lo
+        assert p.colmap == tuple(bisect_left(prefix, hi) + 1 for prefix in prefixes)
 
 
 @DECOMPOSE_SETTINGS

@@ -221,6 +221,20 @@ class TestDecompose:
             is_plm = all(x in (0, 1) for row in m.entries for x in row)
             assert (dec.terms[0][0] == 1) == is_plm
 
+    def test_d128_decompose_within_budget(self, traced):
+        # The greedy alone on 11,977 terms at d = 128: 0.12-0.17 s measured
+        # on a 2-CPU x86-64 VM (Python 3.11), so the budget is three times
+        # the slowest reading.  The loop that subtracted each term from the
+        # matrix took 0.35-0.41 s there.  Under a tracer only the result is
+        # checked.
+        m = random_left_stochastic(128, seed=0)
+        t0 = time.perf_counter()
+        dec = decompose(m)
+        elapsed = time.perf_counter() - t0
+        assert len(dec.terms) == 11977
+        if not traced:
+            assert elapsed < 0.5, f"d = 128 decompose took {elapsed:.2f} s (budget 0.5 s)"
+
 
 def unchecked(*terms):
     """A Decomposition built without its own validation, as a faulty producer
