@@ -292,10 +292,11 @@ def decompose(m: StochasticMatrix) -> Decomposition:
     ``ends[j] - taken`` of it left.  A term's int weight is therefore
     ``min(ends) - taken``; it is emitted as ``Fraction(min(ends) - taken,
     L)`` and ``taken`` moves to ``min(ends)``.  Only the columns whose picked
-    entry is then used up (``ends[j] == taken``) move their pointer, down
-    past any zero entries, so the run makes at most d^2 pointer steps and
-    subtracts nothing from the matrix.  While ``taken < L`` every column has
-    weight left at or below its pointer, so no pointer passes row d.
+    entry is then used up (``ends[j] == taken``) move their pointer, and
+    only down, past any zero entries, so the run makes at most d^2 pointer
+    steps; nothing is subtracted from the matrix.  While ``taken < L`` every
+    column has weight left at or below its pointer, so no pointer passes
+    row d.  This holds by construction and is not checked again:
     :func:`check_decomposition` is the one verifier of the result.
     """
     d = m.dim

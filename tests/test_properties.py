@@ -7,8 +7,9 @@ polynomial, also on maps drawn by cycle type, and the one-term unity
 deviation against the two-term one it replaced on cycle types up to d = 90;
 on hostile left stochastic matrices: the integer greedy decomposition
 against a Fraction reference and against its closed form as a merge of the
-columns' prefix sums, and the verifier on its output; on corrupted decompositions of seeded matrices:
-the one-pass verifier against the full walk it replaced;
+columns' prefix sums, and the verifier on its output; on corrupted
+decompositions of seeded matrices: the one-pass verifier against the full
+walk it replaced;
 and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, its block scan of writer-form text against the
 comprehension it bypasses and, on edited writer-form texts, against the
