@@ -516,7 +516,12 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
-    agrees with :func:`multiply`; the two routes share no formula.
+    agrees with :func:`multiply`.  The two routes are not independent: the
+    case split decides when the peel stops and which columns swap back, but
+    every case reads a product entry as composition does, as the left
+    factor's column at the right factor's label.  The dense oracle in
+    ``verify`` shares no formula with either.  ROADMAP item 16 decides what
+    this route should be.
     """
     am, bm = a.colmap, b.colmap
     _require_same_dim(len(am), len(bm))

@@ -29,6 +29,8 @@ for d in the millions) raises :class:`PlmError` naming the limit, which the
 from __future__ import annotations
 
 import json
+from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Plm, _plm_of_nonzeros, _require_ints
 from .errors import MatrixParseError, NotPlmError
@@ -228,20 +230,71 @@ def decomposition_from_json_dict(obj: dict) -> Decomposition:
     return dec
 
 
-def _dumps(obj, indent: int | None = None) -> str:
-    # json writes an int with int.__repr__, which raises ValueError past
-    # sys.get_int_max_str_digits().
+_compact = partial(json.dumps, sort_keys=True)
+
+
+def _indented(obj, nl: str = "\n") -> str:
+    # obj as json.dumps(obj, sort_keys=True, indent=2) writes it, for obj
+    # written after the newline and indent nl.  It takes the same types in
+    # the same order and writes each scalar with the same C-level function,
+    # encode_basestring_ascii or int.__repr__, or for a float json's C
+    # encoder (float.__repr__, or NaN and the infinities by name), so the
+    # bytes are json's; a list of plain ints is written by one join.
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _compact(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_indented(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    # A dict key as json writes it: a str quoted, a scalar written as a
+    # value would be and then quoted.
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _indented(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _dumps(write, obj) -> str:
+    # write(obj) and a final newline.  Both writers write an int with
+    # int.__repr__, which raises ValueError past sys.get_int_max_str_digits().
     try:
-        return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+        return write(obj) + "\n"
     except ValueError:
         raise _too_long("an int in the report") from None
 
 
 def dumps_compact(obj) -> str:
     """One-line JSON with sorted keys, newline-terminated."""
-    return _dumps(obj)
+    return _dumps(_compact, obj)
 
 
 def dumps_report(obj) -> str:
-    """Indented JSON with sorted keys, newline-terminated; byte-stable."""
-    return _dumps(obj, indent=2)
+    """Indented JSON with sorted keys, newline-terminated; byte-stable.  The
+    bytes are ``json.dumps(obj, sort_keys=True, indent=2)``'s and a newline,
+    written without json's pure-Python encoder, which ``indent`` selects."""
+    return _dumps(_indented, obj)

@@ -25,14 +25,25 @@ builds from values already validated (``decompose``, ``convex_combine``,
 
 Nothing here rounds.  Matrices and weights are held as ``fractions.Fraction``
 at the interface; the decomposition, recomposition and verification loops
-scale them by the least common multiple of their denominators and run on
-exact Python ints, converting back to ``Fraction`` only for the results.
-Those can outgrow what ``str()`` writes: the denominators of legal entries
-multiply, and ``sys.get_int_max_str_digits()`` (4300 digits by default) caps
-int-to-text conversion.  One helper turns exact values into text.  For a
+run on exact Python ints (the integer form below), converting back to
+``Fraction`` only for the results.  Those can outgrow what ``str()``
+writes: the denominators of legal entries multiply, and
+``sys.get_int_max_str_digits()`` (4300 digits by default) caps int-to-text
+conversion.  One helper turns exact values into text.  For a
 value past the limit, an error message says it is too long to print, and
 ``Decomposition.to_json_dict`` raises :class:`PlmError` naming the limit.
 The limit itself is left as it is.
+
+Each matrix has one integer form, ``StochasticMatrix._ints``: a common
+multiple L of its entries' denominators and the columns of L * m as ints.
+``random_left_stochastic`` and ``convex_combine`` hold those ints already
+and store the form as they build the matrix, with L the lcm of the column
+denominators q or of the weight denominators; any other matrix derives it
+from its entries on first use, with L their least common multiple.
+``decompose``, ``check_decomposition`` and ``is_left_stochastic`` read it,
+so a matrix that is built, decomposed and verified is scaled to ints once.
+The form never changes after it is made; the verifier walks a copy.
+``entries`` stays the public ``Fraction`` grid, built eagerly.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .core import (
@@ -61,9 +73,6 @@ from .errors import (
     ZeroColumnError,
 )
 
-
-# Entry types that convert to Fraction exactly; float and bool are refused.
-_EXACT_TYPES = (int, Fraction, str)
 
 # Python 3.10 before 3.10.7 has no limit on int-string conversion.
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -91,12 +100,17 @@ def _fraction(s: str) -> Fraction:
 
 
 def _exact(x, name: str, *where) -> Fraction:
-    # x as a Fraction, for an entry or a weight.  Raises ValueError, naming x
-    # by ``name.format(x, *where)``, unless x is of the exact types and, for a
-    # string, _fraction() parses it to a finite value ("1/0" does not).
-    if type(x) in _EXACT_TYPES:
+    # x as a Fraction, for an entry or a weight: a Fraction as it is (it is
+    # immutable), an int or a string converted.  Float and bool are refused.
+    # Raises ValueError, naming x by ``name.format(x, *where)``, unless x is
+    # of those types and, for a string, _fraction() parses it to a finite
+    # value ("1/0" does not).
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int or t is str:
         try:
-            return _fraction(x) if type(x) is str else Fraction(x)
+            return _fraction(x) if t is str else Fraction(x)
         except (ValueError, ZeroDivisionError):
             problem = "is not a valid fraction"
     else:
@@ -158,6 +172,14 @@ class StochasticMatrix:
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _ints(self) -> tuple[int, list[list[int]]]:
+        # The integer form (L, columns of L * self as ints); see the module
+        # docstring.  A builder that holds the ints stores it in the instance
+        # dict, under this name, and then this never runs.  Read-only.
+        scale = lcm(*[x.denominator for row in self.entries for x in row])
+        return scale, [_scaled(col, scale) for col in zip(*self.entries)]
 
     @classmethod
     def from_plm(cls, a: Plm) -> "StochasticMatrix":
@@ -226,7 +248,8 @@ def _exact_terms(terms) -> tuple[tuple[Fraction, Plm], ...]:
 
 
 def is_left_stochastic(m: StochasticMatrix) -> bool:
-    return all(s == 1 for s in m.column_sums())
+    scale, cols = m._ints
+    return all(sum(col) == scale for col in cols)
 
 
 def first_positive_rows(m: StochasticMatrix) -> tuple[int, ...]:
@@ -265,11 +288,6 @@ def _scaled_weights(lams: list[Fraction]) -> tuple[int, list[int]]:
     return scale, weights
 
 
-def _int_columns(m: StochasticMatrix, scale: int) -> list[list[int]]:
-    # The columns of scale * m as ints.
-    return [_scaled(col, scale) for col in zip(*m.entries)]
-
-
 def _accumulate(weights: list[int], colmaps, d: int) -> list[list[int]]:
     # The columns of sum(weight * PLM), for int weights and raw column maps.
     cols = [[0] * d for _ in range(d)]
@@ -284,9 +302,10 @@ def decompose(m: StochasticMatrix) -> Decomposition:
 
     Raises :class:`NotLeftStochasticError` unless every column sums to 1.
 
-    The greedy loop runs on the ints ``L * m``, where ``L`` is the least
-    common multiple of the entry denominators, so every column sums to
-    ``L``.  After emitting weight ``taken``, each column has used up exactly
+    The greedy loop runs on ``m``'s integer form, the ints ``L * m`` for
+    ``L`` a common multiple of the entry denominators, so every column sums
+    to ``L``; a matrix from ``random_left_stochastic`` or ``convex_combine``
+    comes with it, and any other gets it here, once.  After emitting weight ``taken``, each column has used up exactly
     ``taken`` from its top, so its picked entry, at row ``rows[j]``, ends at
     ``ends[j]``, the column's prefix sum down to that row, and has
     ``ends[j] - taken`` of it left.  A term's int weight is therefore
@@ -300,8 +319,7 @@ def decompose(m: StochasticMatrix) -> Decomposition:
     :func:`check_decomposition` is the one verifier of the result.
     """
     d = m.dim
-    scale = lcm(*[x.denominator for row in m.entries for x in row])
-    cols = _int_columns(m, scale)
+    scale, cols = m._ints
     for j, col in enumerate(cols, start=1):
         if sum(col) != scale:
             total = Fraction(sum(col), scale)
@@ -339,10 +357,13 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     sums stay uniform through the walk exactly when every column of ``m``
     sums to the weight total; that is decided before the walk and reported
     at step 1 unless one of the other two tests fails there.  Everything
-    runs on ints scaled by the least common multiple of all denominators.
-    The terms are not trusted to satisfy :class:`Decomposition`'s own
-    validation.  Raises :class:`DimensionMismatchError` when a term's
-    dimension differs from ``m``'s.
+    runs on ints: ``m``'s integer form ``(L, L * m)``, the one
+    :func:`decompose` read, rescaled to ``lcm(L, weight denominators)``
+    only when that differs from ``L`` (never for ``decompose``'s own
+    weights), and copied for the walk.  The terms are not trusted to
+    satisfy :class:`Decomposition`'s own validation.  Raises
+    :class:`DimensionMismatchError`, naming the first term whose dimension
+    differs from ``m``'s, when there is one.
 
     The walk costs O(terms * d): each term's two tests are read off the d
     entries it touches, in the loop that subtracts it, with no rescan of
@@ -358,20 +379,23 @@ def check_decomposition(m: StochasticMatrix, dec: Decomposition) -> list[str]:
     the second, while the walk finds no fault each term adds at least one
     zero to the d x d remainder, so a fault comes by term d^2 + 1.
     """
-    for _, p in dec.terms:
-        _require_same_dim(p.dim, m.dim, "term dims")
-    scale = lcm(
-        *[x.denominator for row in m.entries for x in row],
-        *[lam.denominator for lam, _ in dec.terms],
-    )
-    cols = _int_columns(m, scale)
-    weights = _scaled([lam for lam, _ in dec.terms], scale)
+    d = m.dim
+    lams = [lam for lam, _ in dec.terms]
+    colmaps = [p.colmap for _, p in dec.terms]
+    dims = list(map(len, colmaps))
+    if dims.count(d) != len(dims):
+        _require_same_dim(next(n for n in dims if n != d), d, "term dims")
+    base, cols = m._ints
+    scale = lcm(base, *[lam.denominator for lam in lams])
+    k = scale // base
+    cols = [[x * k for x in col] for col in cols] if k != 1 else list(map(list, cols))
+    weights = _scaled(lams, scale)
     total = sum(weights)
     uniform = all(sum(col) == total for col in cols)
     fault = None
-    for w, (_, p) in zip(weights, dec.terms):
+    for w, cm in zip(weights, colmaps):
         negative, grown = False, 0
-        for col, r in zip(cols, p.colmap):
+        for col, r in zip(cols, cm):
             old = col[r - 1]
             col[r - 1] = new = old - w
             if new < 0:
@@ -401,7 +425,8 @@ def convex_combine(terms) -> StochasticMatrix:
     Weights must be exact, of the types :class:`Decomposition` takes, lie in
     [0, 1] and sum to exactly 1; zero weights are allowed here even though
     :class:`Decomposition` excludes them.  The sum runs on ints scaled by the
-    least common multiple of the weight denominators.
+    least common multiple of the weight denominators, and those ints are the
+    result's integer form.
     """
     terms = _exact_terms(terms)
     if not terms:
@@ -414,7 +439,7 @@ def convex_combine(terms) -> StochasticMatrix:
     scale, weights = _scaled_weights([lam for lam, _ in terms])
     cols = _accumulate(weights, [p.colmap for _, p in terms], d)
     rows = tuple([tuple([Fraction(x, scale) for x in row]) for row in zip(*cols)])
-    return _trusted(StochasticMatrix, entries=rows)
+    return _trusted(StochasticMatrix, entries=rows, _ints=(scale, cols))
 
 
 def recompose(dec: Decomposition) -> StochasticMatrix:
@@ -425,18 +450,23 @@ def random_left_stochastic(d: int, seed: int, max_denominator: int = 1000) -> St
     """Deterministic random left stochastic matrix with exact rational entries.
 
     Each column picks a denominator q <= max_denominator and splits q into d
-    nonnegative integer parts uniformly via sorted cut points.
+    nonnegative integer parts uniformly via sorted cut points.  The result
+    carries its integer form: L is the lcm of the columns' q, and column j's
+    parts are scaled by L / q_j.
     """
     _require_dim(d)
     _require_ints(seed=seed, max_denominator=max_denominator)
     if max_denominator < 1:
         raise InvalidArgumentError(f"max denominator {max_denominator} must be >= 1")
     rng = random.Random(seed)
-    cols = []
+    qs, parts = [], []
     for _ in range(d):
         q = rng.randint(1, max_denominator)
         cuts = sorted([rng.randint(0, q) for _ in range(d - 1)])
         bounds = [0] + cuts + [q]
-        cols.append([Fraction(bounds[k + 1] - bounds[k], q) for k in range(d)])
-    rows = tuple([tuple([cols[j][i] for j in range(d)]) for i in range(d)])
-    return _trusted(StochasticMatrix, entries=rows)
+        qs.append(q)
+        parts.append([bounds[k + 1] - bounds[k] for k in range(d)])
+    rows = tuple(zip(*[[Fraction(x, q) for x in col] for q, col in zip(qs, parts)]))
+    scale = lcm(*qs)
+    cols = [col if q == scale else [x * (scale // q) for x in col] for q, col in zip(qs, parts)]
+    return _trusted(StochasticMatrix, entries=rows, _ints=(scale, cols))

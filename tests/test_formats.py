@@ -236,6 +236,12 @@ class TestParseStochastic:
         with pytest.raises(NotLeftStochasticError):
             parse_stochastic_text("2\n-1/2 0\n3/2 1\n")
 
+    def test_a_parse_error_comes_before_a_negative_entry(self):
+        # Every token is parsed before the matrix checks any sign.
+        with pytest.raises(MatrixParseError) as err:
+            parse_stochastic_text("2\n-1/2 0\n3/2 q\n")
+        assert err.value.line == 3
+
 
 class TestDecompositionJson:
     def test_round_trip(self):

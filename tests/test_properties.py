@@ -7,9 +7,12 @@ polynomial, also on maps drawn by cycle type, and the one-term unity
 deviation against the two-term one it replaced on cycle types up to d = 90;
 on hostile left stochastic matrices: the integer greedy decomposition
 against a Fraction reference and against its closed form as a merge of the
-columns' prefix sums, and the verifier on its output; on corrupted
+columns' prefix sums, and the verifier on its output; on those, seeded
+and convex-combined matrices: the integer form against the entries and
+against the form a matrix derives from them; on corrupted
 decompositions of seeded matrices: the one-pass verifier against the full
-walk it replaced;
+walk it replaced; on drawn JSON values: the report writer against
+``json.dumps``;
 and on token grids: the dense text reader and ``from_dense`` against the
 int-grid path they replaced, its block scan of writer-form text against the
 comprehension it bypasses and, on edited writer-form texts, against the
@@ -44,6 +47,7 @@ from plmonoid import (
     char_poly,
     check_decomposition,
     classify,
+    convex_combine,
     decompose,
     from_dense,
     identity,
@@ -64,6 +68,7 @@ from plmonoid.formats import (
     _writer_form_nonzeros,
     decomposition_from_json_dict,
     dumps_compact,
+    dumps_report,
     parse_plm_text,
     parse_stochastic_text,
     plm_to_colmap_line,
@@ -77,7 +82,7 @@ from plmonoid.spectral import (
     _squarefree_factors,
     max_unity_deviation,
 )
-from plmonoid.stochastic import _accumulate, _int_columns, _scaled
+from plmonoid.stochastic import _accumulate, _scaled
 from plmonoid.verify import oracle_multiply
 
 MAX_D = 12
@@ -511,6 +516,53 @@ def test_decomposition_json_round_trip(m):
     assert again.terms == dec.terms
 
 
+# --- the integer form ----------------------------------------------------------
+
+
+def seeded_stochastic():
+    return st.builds(
+        random_left_stochastic,
+        st.integers(1, MAX_STOCHASTIC_D),
+        st.integers(0, 2**32),
+        st.sampled_from((1, 2, 5, 1000)),
+    )
+
+
+@st.composite
+def combined_stochastic(draw):
+    """``convex_combine`` of up to six drawn PLMs, with weights over a drawn
+    denominator, zero weights included."""
+    d = draw(st.integers(1, MAX_STOCHASTIC_D))
+    parts = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=6))
+    parts[0] += 1
+    terms = [(Fraction(n, sum(parts)), draw(colmaps(d))) for n in parts]
+    return convex_combine(terms)
+
+
+@DECOMPOSE_SETTINGS
+@given(st.one_of(stochastic(), seeded_stochastic(), combined_stochastic()))
+def test_integer_form_is_the_entries_over_a_common_denominator(m):
+    d = m.dim
+    scale, cols = m._ints
+    assert all(scale % x.denominator == 0 for row in m.entries for x in row)
+    assert len(cols) == d and all(len(col) == d for col in cols)
+    assert all(
+        type(cols[j][i]) is int and Fraction(cols[j][i], scale) == m.entries[i][j]
+        for i in range(d)
+        for j in range(d)
+    )
+    # A matrix built from the same entries has no stored form, so it derives
+    # one: over the least common denominator, and the builder's up to scale.
+    plain = StochasticMatrix(m.entries)
+    base, base_cols = plain._ints
+    assert base == lcm(*[x.denominator for row in m.entries for x in row])
+    assert scale % base == 0
+    assert cols == [[x * (scale // base) for x in col] for col in base_cols]
+    dec = decompose(m)
+    assert dec.terms == decompose(plain).terms
+    assert check_decomposition(m, dec) == check_decomposition(plain, dec) == []
+
+
 # --- the verifier against its full walk -----------------------------------------
 
 
@@ -542,7 +594,7 @@ def full_walk_check(m: StochasticMatrix, dec: Decomposition) -> list[str]:
         *[x.denominator for row in m.entries for x in row],
         *[lam.denominator for lam, _ in dec.terms],
     )
-    cols = _int_columns(m, scale)
+    cols = [_scaled(col, scale) for col in zip(*m.entries)]
     weights = _scaled([lam for lam, _ in dec.terms], scale)
     colmaps = [p.colmap for _, p in dec.terms]
     problems = []
@@ -953,3 +1005,53 @@ def test_plm_text_round_trips(a):
     assert same_text
     assert parse_plm_text(text) == a
     assert parse_plm_text(plm_to_colmap_line(a)) == a
+
+
+# --- report JSON ---------------------------------------------------------------
+
+# Characters json escapes or spells out: quotes, backslashes, control
+# characters, non-ASCII ones (two of them past the BMP) and a lone surrogate.
+AWKWARD_CHARS = '"\\/\x00\x08\t\n\x1f\x7f \xe9\u2603\U0001f600\U0010ffff\ud800a'
+
+
+def json_scalars():
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**80), 10**80),
+        st.floats(),
+        st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324)),
+        st.text(),
+        st.text(AWKWARD_CHARS),
+    )
+
+
+def json_keys():
+    # One key type per dict: json sorts the keys, and mixed types may not
+    # compare.
+    return st.sampled_from(
+        (st.text(AWKWARD_CHARS), st.integers(), st.floats(), st.booleans(), st.none())
+    )
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=8),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+        json_keys().flatmap(lambda keys: st.dictionaries(keys, children, max_size=5)),
+    )
+
+
+def json_values():
+    return st.recursive(json_scalars(), json_containers, max_leaves=40)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(json_values())
+def test_report_writer_matches_json_dumps(value):
+    # A bool, so that a failing example does not make pytest diff two long texts.
+    same_bytes = dumps_report(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert same_bytes

@@ -47,6 +47,12 @@ class TestStochasticMatrix:
         assert m.entries[0][0] == F(1, 2)
         assert isinstance(m.entries[0][0], Fraction)
 
+    def test_fraction_entries_are_kept_as_they_are(self):
+        # A Fraction is immutable, so the constructor stores it, not a copy.
+        x, y = F(1, 3), F(2, 3)
+        m = StochasticMatrix(((x, y), (y, x)))
+        assert m.entries[0][0] is x and m.entries[1][0] is y
+
     def test_accepts_exact_entry_types(self):
         m = StochasticMatrix(((1, F(1, 2), "1/2", "0.1"),) + ((0, 0, 0, 0),) * 3)
         assert m.entries[0] == (F(1), F(1, 2), F(1, 2), F(1, 10))
@@ -321,6 +327,11 @@ class TestCheckDecomposition:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_decomposition(B, Decomposition(((F(1), identity(2)),)))
+
+    def test_dimension_mismatch_names_the_first_odd_term(self):
+        terms = ((F(1, 2), identity(3)), (F(1, 4), identity(2)), (F(1, 4), identity(4)))
+        with pytest.raises(DimensionMismatchError, match=r"^term dims 2 != 3$"):
+            check_decomposition(random_left_stochastic(3, 1), _trusted(Decomposition, terms=terms))
 
     def test_d128_check_within_budget(self, traced):
         # The verifier alone on 11,977 terms at d = 128: 0.36-0.46 s measured
