@@ -305,18 +305,20 @@ def decompose(m: StochasticMatrix) -> Decomposition:
     The greedy loop runs on ``m``'s integer form, the ints ``L * m`` for
     ``L`` a common multiple of the entry denominators, so every column sums
     to ``L``; a matrix from ``random_left_stochastic`` or ``convex_combine``
-    comes with it, and any other gets it here, once.  After emitting weight ``taken``, each column has used up exactly
-    ``taken`` from its top, so its picked entry, at row ``rows[j]``, ends at
-    ``ends[j]``, the column's prefix sum down to that row, and has
-    ``ends[j] - taken`` of it left.  A term's int weight is therefore
-    ``min(ends) - taken``; it is emitted as ``Fraction(min(ends) - taken,
-    L)`` and ``taken`` moves to ``min(ends)``.  Only the columns whose picked
-    entry is then used up (``ends[j] == taken``) move their pointer, and
-    only down, past any zero entries, so the run makes at most d^2 pointer
-    steps; nothing is subtracted from the matrix.  While ``taken < L`` every
-    column has weight left at or below its pointer, so no pointer passes
-    row d.  This holds by construction and is not checked again:
-    :func:`check_decomposition` is the one verifier of the result.
+    comes with it, and any other gets it here, once, for
+    :func:`check_decomposition` to read as well.  After emitting weight
+    ``taken``, each column has used up exactly ``taken`` from its top, so
+    its picked entry, at row ``rows[j]``, ends at ``ends[j]``, the column's
+    prefix sum down to that row, and has ``ends[j] - taken`` of it left.  A
+    term's int weight is therefore ``min(ends) - taken``; it is emitted as
+    ``Fraction(min(ends) - taken, L)`` and ``taken`` moves to ``min(ends)``.
+    Only the columns whose picked entry is then used up (``ends[j] ==
+    taken``) move their pointer, and only down, past any zero entries, so
+    the run makes at most d^2 pointer steps; nothing is subtracted from the
+    matrix.  While ``taken < L`` every column has weight left at or below
+    its pointer, so no pointer passes row d.  This holds by construction and
+    is not checked again: :func:`check_decomposition` is the one verifier of
+    the result.
     """
     d = m.dim
     scale, cols = m._ints

@@ -530,8 +530,8 @@ def seeded_stochastic():
 
 @st.composite
 def combined_stochastic(draw):
-    """``convex_combine`` of up to six drawn PLMs, with weights over a drawn
-    denominator, zero weights included."""
+    """``convex_combine`` of up to six drawn PLMs, each weighted by a drawn
+    share of the total, zero weights included."""
     d = draw(st.integers(1, MAX_STOCHASTIC_D))
     parts = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=6))
     parts[0] += 1
