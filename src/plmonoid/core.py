@@ -69,7 +69,8 @@ def _trusted(cls, **fields):
     # from values it has already validated skips __post_init__ and is built
     # here, so each field must already be what the constructor would store
     # (tuples, not lists).  Plm has its own copy, _plm_trusted, without the
-    # keyword loop, because the structural route builds one per product.
+    # keyword loop, because every product builds one: it writes Plm's slot
+    # through the slot's setter.
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -168,9 +169,12 @@ class DenseBinaryMatrix:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plm:
-    """A permutation-like matrix, stored by its column map (1-based rows)."""
+    """A permutation-like matrix, stored by its column map (1-based rows).
+
+    The one field lives in a slot, so an instance has no ``__dict__``.
+    """
 
     colmap: tuple[int, ...]
 
@@ -194,12 +198,16 @@ class Plm:
         return multiply(self, other)
 
 
+# The slot's own setter, which frozenness leaves in place: object.__setattr__
+# reaches the same setter only after looking the name up.
+_set_colmap = Plm.__dict__["colmap"].__set__
+
+
 def _plm_trusted(cm: tuple[int, ...]) -> Plm:
     # _trusted for Plm, written out: see there.  The field goes straight into
-    # the instance __dict__, where object.__setattr__ would put it, without
-    # the cost of that call.
+    # its slot through the slot's setter, bound once above.
     a = object.__new__(Plm)
-    a.__dict__["colmap"] = cm
+    _set_colmap(a, cm)
     return a
 
 
@@ -509,10 +517,14 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     slices of the column maps from column k+1 on, and the right slice's
     first row is row k+1.  Each level tests the left slice for a row PLM
     (that test only), classifies the right slice, and, for a PCPLM, swaps
-    the lone first-row 1 into column k+1.  The next level's factors are
-    then the slices from column k+2, as they stand, so no label is shifted
-    down on the way in or up on the way out.  Each level, and the IPLM
-    step, costs O(d) time and memory.
+    the lone first-row 1 into column k+1.  The left slice is a row PLM
+    exactly when k is at least the start of the left factor's constant
+    suffix, which is found once per product, so that test costs O(1), and
+    the left slice is never copied: its entries are read off the left
+    factor's whole column map.  The next level's factors are then the
+    slices from column k+2, as they stand, so no label is shifted down on
+    the way in or up on the way out.  Each level, and the IPLM step, costs
+    O(d) time and memory.
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
@@ -530,63 +542,61 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
 
 def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
     # The structural product of two column maps of equal length, peeled in
-    # place on unshifted labels.  At level k the live factors a and b are the
-    # slices am[k:] and bm[k:]; b's 1s lie in rows k+1.., so its first row is
-    # label one = k + 1.  Each level decides, in order: left row PLM (the
-    # product is a); right row PLM R_m (every product column is column m of
-    # a); then an IPLM b gives the rest of the product by the block step, and
-    # a CPLM or PCPLM b (its lone first-row 1 swapped into column k+1) gives
-    # product column k+1.  The only test on a, the row-PLM test, survives
-    # any row relabel, and every case copies whole columns of a, so each
-    # holds whether or not a's first row is empty past column one: a is not
-    # relabelled into canonical form, and each entry is written as read.
-    # Then b[1:] avoids row one, so it is b's PLC as it stands, and the rest
-    # of the product is a[1:] times it (b, a list copy of bm, drops its first
-    # entry in place); the way back only undoes the column swaps, latest
-    # first.
-    a, b = am, list(bm)
+    # place on unshifted labels.  At level k the live factors are the slices
+    # am[k:] and bm[k:]; the right one, b, lies in rows k+1.., so its first
+    # row is label one = k + 1.  Each level decides, in order: left row PLM
+    # (the product is am[k:]); right row PLM R_m (every product column is
+    # the left slice's column m); then an IPLM b gives the rest of the product by the
+    # block step, and a CPLM or PCPLM b (its lone first-row 1 swapped into
+    # column k+1) gives product column k+1.  The only test on the left
+    # slice, the row-PLM test, survives any row relabel, and every case
+    # copies whole columns of it, so each holds whether or not its first row
+    # is empty past column one: it is not relabelled into canonical form,
+    # and each entry is written as read.  The left slice's column labelled
+    # x (its columns are numbered from one, as b's rows are) is am[x - 1],
+    # so the slice is never formed, and it is a row PLM exactly when k is
+    # at least s, the start of am's constant suffix, found once.  Then
+    # b[1:] avoids row one, so it is b's PLC as it stands, and the rest of
+    # the product is am[k+1:] times it (b, a list copy of bm, drops its
+    # first entry in place); the way back only undoes the column swaps,
+    # latest first.
+    s = len(am) - 1
+    while s and am[s - 1] == am[-1]:
+        s -= 1
+    b = list(bm)
     out = []  # product columns 1..k
     swaps = []
     one = 1
     while True:
-        if a.count(a[0]) == len(a):  # a is a row PLM
-            prod = a
+        if one > s:  # am[k:] is a row PLM
+            prod = am[one - 1:]
             break
         kind, detail = _classify(b, one)
         if kind == "rowplm":
-            prod = (a[detail - one],) * len(a)
+            prod = (am[detail - 1],) * len(b)
             break
         if kind == "iplm":
-            prod = _smul_iplm(a, b, one)
+            # Regrouping b's z first-row ones (1 < z < len(b)) into a
+            # leading run gives blocks [[1, u], [0, B']] with u = (1,)*(z-1)
+            # + (0,)*(len(b)-z), and a product whose first z columns are
+            # each the left slice's column 1 (the correction block v*u fills
+            # the z-1 columns in which B' is zero).  Every other column has
+            # its 1 in a row x > one of b, so it is the left slice's column
+            # x - one + 1.  Both are am[x - 1], written straight to each
+            # column's original position; the regrouped matrices and the
+            # correction block are never formed.
+            prod = [am[x - 1] for x in b]
             break
         if kind == "pcplm":
             c = detail - one
             b[0], b[c] = b[c], b[0]
             swaps.append((one - 1, detail - 1))
         # b's first column has its 1 in row b[0], so product column k+1 is
-        # column b[0] of a.
-        out.append(a[b[0] - one])
-        a = a[1:]
+        # column b[0] of am.
+        out.append(am[b[0] - 1])
         del b[0]
         one += 1
     out += prod
     for i, j in reversed(swaps):
         out[i], out[j] = out[j], out[i]
     return tuple(out)
-
-
-def _smul_iplm(a, b: list[int], one: int) -> list[int]:
-    # a is any PLM slice whose columns are numbered from ``one``, read as
-    # blocks [[l, w], [v, P]] with (l over v) its first column and (w over
-    # P) the rest; b has z first-row ones, 1 < z < len(b).  Regrouping b's
-    # columns so that these ones lead gives blocks [[1, u], [0, B']] with
-    # u = (1,)*(z-1) + (0,)*(len(b)-z), and a product whose first z columns
-    # are each column 1 of a (l over v, where the correction block v*u fills
-    # the z-1 columns in which B' is zero).  Every other column has its 1 in
-    # a row x > one of b, so it is column x - one + 1 of a, w's entry over
-    # P's column.  The formula reads only columns of a, so it holds whether
-    # or not a's first row is empty past column one.  Each column is written
-    # straight to its original position, and the regrouped matrices are
-    # never formed.
-    first, rest = a[0], a[1:]  # rest: the columns after the first
-    return [first if x == one else rest[x - one - 1] for x in b]

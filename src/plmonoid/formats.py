@@ -286,9 +286,13 @@ def _key(k) -> str:
 def _dumps(write, obj) -> str:
     # write(obj) and a final newline.  Both writers write an int with
     # int.__repr__, which raises ValueError past sys.get_int_max_str_digits().
+    # Only that error, told apart by its message, becomes PlmError; any
+    # other, such as json's "Circular reference detected", leaves as raised.
     try:
         return write(obj) + "\n"
-    except ValueError:
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
         raise _too_long("an int in the report") from None
 
 
@@ -300,5 +304,8 @@ def dumps_compact(obj) -> str:
 def dumps_report(obj) -> str:
     """Indented JSON with sorted keys, newline-terminated; byte-stable.  The
     bytes are ``json.dumps(obj, sort_keys=True, indent=2)``'s and a newline,
-    written without json's pure-Python encoder, which ``indent`` selects."""
+    written without json's pure-Python encoder, which ``indent`` selects.
+    The writer keeps no record of the containers it is inside, so a value
+    that contains itself raises ``RecursionError``, not json's
+    ``ValueError``."""
     return _dumps(_indented, obj)

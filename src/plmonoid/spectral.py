@@ -338,9 +338,16 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
     trace-recursion polynomial exactly, and the numeric side then confirms
     every root is within ``tol`` of zero or of a t-th root of unity.
     :class:`RootFindingError` is raised if the exact certificate fails or the
-    computed roots disagree with it.
+    computed roots disagree with it, and :class:`InvalidArgumentError` for a
+    bad ``tol`` (see :func:`check_tol`).
     """
     check_tol(tol)
+    return _eigen_check(a, tol)
+
+
+def _eigen_check(a: Plm, tol: float) -> EigenReport:
+    # eigen_check for a tolerance already checked: sweep_eigen checks it once
+    # for all its matrices.
     tail, lengths, _, period = _graph(a.colmap)
     exact_ok = power(a, tail + period) == power(a, tail)
     cp = char_poly(a)

@@ -50,7 +50,7 @@ from .core import (
     to_dense,
 )
 from .errors import InvalidArgumentError, RootFindingError
-from .spectral import DEFAULT_TOL, check_tol, eigen_check, periodicity
+from .spectral import DEFAULT_TOL, _eigen_check, check_tol, periodicity
 from .stochastic import check_decomposition, decompose, random_left_stochastic
 
 RANDOM_MAX_DENOMINATOR = 1000
@@ -205,24 +205,35 @@ def _oracle_colmaps(products) -> list[tuple[int, ...]]:
 def _mul_chunk(d: int, start: int, stop: int):
     n = d**d
     elems = list(_plms(d))
-    denses = list(np.array([to_dense(p).entries for p in elems], dtype=np.int64))
+    stack = np.array([to_dense(p).entries for p in elems], dtype=np.int64)
+    denses = list(stack)
+    index = {a.colmap: k for k, a in enumerate(elems)}
     failures = []
     # One left operand at a time; the chunk may start or end inside a row.
     # Each route is still called once per pair, through its public name, as
-    # the benchmark's trace counts it, but a row's three lists of column maps
-    # are compared at once, and the row is walked pair by pair only when they
-    # differ, so the failure records come out as a pairwise walk gives them.
+    # the benchmark's trace counts it, but a row is checked at once: the
+    # oracle's stacked products against the dense forms of the composition
+    # products, which the stack holds at their lexicographic indices, and
+    # the two column-map lists against each other.  The oracle's column
+    # maps are read, and the row walked pair by pair, only when a check
+    # fails or a composition product is no PLM of dimension d, so the
+    # failure records, and a NotPlmError, come out as a pairwise walk gives
+    # them.
     for i in range(start // n, -(-stop // n)):
         j0, j1 = max(start - i * n, 0), min(stop - i * n, n)
         a, dense_a = elems[i], denses[i]
         row = elems[j0:j1]
-        via_oracle = _oracle_colmaps(
-            np.array(list(map(oracle_multiply, itertools.repeat(dense_a), denses[j0:j1])))
-        )
+        products = np.array(list(map(oracle_multiply, itertools.repeat(dense_a), denses[j0:j1])))
         via_compose = list(map(_colmap, map(multiply, itertools.repeat(a), row)))
         via_structure = list(map(_colmap, map(structural_multiply, itertools.repeat(a), row)))
-        if via_compose == via_structure == via_oracle:
+        idx = list(map(index.get, via_compose))
+        if (
+            via_compose == via_structure
+            and None not in idx
+            and np.array_equal(products, stack[idx])
+        ):
             continue
+        via_oracle = _oracle_colmaps(products)
         for j, b, c, s, o in zip(range(j0, j1), row, via_compose, via_structure, via_oracle):
             if not (c == s == o):
                 failures.append(
@@ -286,9 +297,10 @@ def _eigen_chunk(d: int, tol: float, start: int, stop: int):
     period_hist = Counter()
     zero_count = 0
     for k, a in enumerate(_plms(d, start, stop), start):
-        # The first check that fails names the record's fields.
+        # The first check that fails names the record's fields.  sweep_eigen
+        # has checked tol, so the kernel does not check it again.
         try:
-            report = eigen_check(a, tol)
+            report = _eigen_check(a, tol)
         except RootFindingError as exc:
             failed = {"check": "numeric_roots", "detail": str(exc)}
         else:

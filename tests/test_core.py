@@ -5,6 +5,9 @@ or cross-checked against the dense oracles defined at the top of the file;
 nothing is asserted that a second route does not confirm.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import tracemalloc
@@ -36,6 +39,7 @@ from plmonoid import (
     tail_column_block,
     to_dense,
 )
+from plmonoid.core import _plm_trusted
 from plmonoid.verify import enumerate_plms, oracle_multiply, plm_from_index
 
 
@@ -213,6 +217,40 @@ class TestPlmConstruction:
     def test_identity_rejects_non_int_dimension(self, d):
         with pytest.raises(InvalidArgumentError, match="^d must be an int"):
             identity(d)
+
+
+class TestSlottedPlm:
+    # Plm keeps its one field in a slot; the library's unchecked builder
+    # writes that slot directly, and must give the value Plm(cm) gives.
+    @pytest.mark.parametrize("cm", [(1,), (2, 1), (3, 3, 3), (2, 3, 1, 1)])
+    def test_trusted_build_equals_the_checked_one(self, cm):
+        a, b = _plm_trusted(cm), Plm(cm)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert type(a) is Plm and a.colmap is cm
+
+    def test_has_no_instance_dict(self):
+        a = Plm((2, 1))
+        assert Plm.__slots__ == ("colmap",)
+        assert not hasattr(a, "__dict__") and not hasattr(_plm_trusted((2, 1)), "__dict__")
+
+    def test_assignment_is_refused(self):
+        a = _plm_trusted((2, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.colmap = (1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del a.colmap
+        # Any other name is refused too.  On Python 3.10 and 3.11 the frozen
+        # __setattr__ of a slotted dataclass reaches super() with the class
+        # that slots=True replaced, which raises TypeError for such a name.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            a.other = 1
+        assert a.colmap == (2, 1) and not hasattr(a, "other")
+
+    @pytest.mark.parametrize("a", [Plm((2, 3, 1)), _plm_trusted((1, 1)), identity(1)])
+    def test_pickle_and_copy_round_trip(self, a):
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(b) is Plm and b == a and hash(b) == hash(a)
+            assert b.colmap == a.colmap and type(b.colmap) is tuple
 
 
 class TestMultiply:

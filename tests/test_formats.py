@@ -327,6 +327,20 @@ def test_json_writers_name_the_int_digit_limit(dumps):
         dumps({"period": 10**limit})
 
 
+def test_json_writers_let_other_errors_out_as_raised():
+    # Only the int-digit error is named as one; json's own check for a
+    # value that contains itself keeps its ValueError and message.
+    cyclic = []
+    cyclic.append(cyclic)
+    with pytest.raises(ValueError, match="^Circular reference detected$") as info:
+        dumps_compact(cyclic)
+    # The report writer has no such check: it recurses until Python stops it.
+    with pytest.raises(RecursionError):
+        dumps_report(cyclic)
+    with pytest.raises(RecursionError):
+        dumps_report({"a": cyclic})
+
+
 def test_verdict_json_of_every_kind():
     # The literal JSON object of one matrix of each classification and each
     # periodicity kind, as `plm classify` and `plm period` write them.

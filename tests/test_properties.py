@@ -57,6 +57,7 @@ from plmonoid import (
     permute_rows,
     power_cycle,
     random_left_stochastic,
+    row_plm,
     structural_multiply,
     to_dense,
 )
@@ -191,6 +192,47 @@ def test_permutation_products_peel_every_level(pair):
         prod = structural_multiply(a, b)
     assert [call.args[1] for call in spy.call_args_list] == list(range(1, a.dim))
     assert prod == multiply(a, b)
+
+
+SUFFIX_D = 64
+
+
+def suffixed(d):
+    # A column map whose constant suffix has a drawn length 0..d: a free
+    # prefix, then that many copies of one row.  For a suffix of length
+    # 1..d-1 the entry before it differs from the row, so the suffix is
+    # exactly that long; length 0 leaves the whole map free.
+    def build(t):
+        n, m, prefix = t
+        cm = prefix[: d - n] + [m] * n
+        if 0 < n < d and cm[d - n - 1] == m:
+            cm[d - n - 1] = m % d + 1
+        return Plm(tuple(cm))
+
+    draw = st.tuples(
+        st.integers(0, d),
+        st.integers(1, d),
+        st.lists(st.integers(1, d), min_size=d, max_size=d),
+    )
+    return draw.map(build)
+
+
+def suffix_operands(d):
+    special = st.sampled_from([identity(d), row_plm(d, 1), row_plm(d, d)])
+    left = st.one_of(suffixed(d), permutations(d), special)
+    right = st.one_of(colmaps(d), permutations(d), special, *[cplms(d)] * (d > 1))
+    return st.tuples(left, right)
+
+
+@SETTINGS
+@given(st.integers(1, SUFFIX_D).flatmap(suffix_operands))
+def test_three_routes_agree_for_every_left_suffix(pair):
+    # The peel stops on the left factor at the first level k with k at
+    # least the start of its constant suffix; every suffix length, R_1,
+    # the identity and permutations (suffix of length 1) meet it there.
+    a, b = pair
+    via_oracle = from_dense(oracle_multiply(to_dense(a), to_dense(b)))
+    assert structural_multiply(a, b) == multiply(a, b) == via_oracle
 
 
 @SETTINGS

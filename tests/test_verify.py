@@ -26,7 +26,8 @@ from plmonoid import (
     random_left_stochastic,
     to_dense,
 )
-from plmonoid import verify
+from plmonoid import spectral, verify
+from plmonoid.core import _plm_trusted
 from plmonoid.formats import dumps_report
 from plmonoid.verify import (
     _chunks,
@@ -299,6 +300,64 @@ class TestMultiplicationSweep:
             }
         ]
 
+    def test_a_passing_row_is_not_read_back_from_the_oracle(self, monkeypatch):
+        # A row whose oracle products equal the dense forms of its
+        # composition products never needs the oracle's column maps.
+        def no_read(products):
+            pytest.fail("a passing row was read back")
+
+        monkeypatch.setattr(verify, "_oracle_colmaps", no_read)
+        assert sweep_multiplication(3).passed
+
+    def test_agreeing_column_map_routes_are_still_checked_against_the_oracle(
+        self, monkeypatch
+    ):
+        # multiply and structural_multiply agree on one wrong product, so
+        # only the dense check can catch it; the record holds the oracle's
+        # column map.
+        a, b, wrong = Plm((2, 1, 3)), Plm((1, 3, 3)), Plm((1, 1, 1))
+        right = list(verify.multiply(a, b).colmap)
+        for name in ("multiply", "structural_multiply"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda x, y, real=real: wrong if (x, y) == (a, b) else real(x, y)
+            )
+        elems = enumerate_plms(3)
+        assert sweep_multiplication(3).failures == [
+            {
+                "index": elems.index(a) * 27 + elems.index(b),
+                "a": [2, 1, 3],
+                "b": [1, 3, 3],
+                "multiply": [1, 1, 1],
+                "structural": [1, 1, 1],
+                "oracle": right,
+            }
+        ]
+
+    @pytest.mark.parametrize("wrong", [(1, 1), (1, 1, 1, 1), (0, 2, 3), (2, 4, 3)])
+    def test_a_composition_product_outside_the_operands_is_a_failure(self, monkeypatch, wrong):
+        # The dense check looks the composition product up among the
+        # operands by its column map; a map of another length, or with a
+        # row outside 1..d, has no entry there and must be a failure
+        # record, not a KeyError.
+        a, b = Plm((2, 1, 3)), Plm((1, 3, 3))
+        real = verify.multiply
+        right = list(real(a, b).colmap)
+        monkeypatch.setattr(
+            verify, "multiply", lambda x, y: _plm_trusted(wrong) if (x, y) == (a, b) else real(x, y)
+        )
+        elems = enumerate_plms(3)
+        assert sweep_multiplication(3).failures == [
+            {
+                "index": elems.index(a) * 27 + elems.index(b),
+                "a": [2, 1, 3],
+                "b": [1, 3, 3],
+                "multiply": list(wrong),
+                "structural": right,
+                "oracle": right,
+            }
+        ]
+
     def test_d5_slice_within_budget(self, traced):
         # 200,000 of the 9,765,625 pairs at d = 5, the first 64 left operands
         # and part of the 65th: 2.3-3.2 s measured on a 2-CPU x86-64 VM
@@ -352,7 +411,7 @@ class TestEigenSweep:
         assert sum(r.findings["period_histogram"].values()) == r.cases
 
     def test_failed_power_identity_is_one_failure_record(self, monkeypatch):
-        real = verify.eigen_check
+        real = verify._eigen_check
 
         def identity_fails_on_one(a, tol):
             report = real(a, tol)
@@ -360,26 +419,42 @@ class TestEigenSweep:
                 return dataclasses.replace(report, roots_of_unity_ok=False)
             return report
 
-        monkeypatch.setattr(verify, "eigen_check", identity_fails_on_one)
+        monkeypatch.setattr(verify, "_eigen_check", identity_fails_on_one)
         r = sweep_eigen(2)
         assert r.failures == [{"index": 2, "colmap": [2, 1], "check": "power_identity"}]
         assert not r.passed
 
     def test_failed_numeric_roots_is_one_failure_record_with_detail(self, monkeypatch):
-        real = verify.eigen_check
+        real = verify._eigen_check
 
         def roots_fail_on_one(a, tol):
             if a.colmap == (2, 1):
                 raise RootFindingError("roots strayed", deviation=0.5)
             return real(a, tol)
 
-        monkeypatch.setattr(verify, "eigen_check", roots_fail_on_one)
+        monkeypatch.setattr(verify, "_eigen_check", roots_fail_on_one)
         r = sweep_eigen(2)
         assert r.failures == [
             {"index": 2, "colmap": [2, 1], "check": "numeric_roots", "detail": "roots strayed"}
         ]
         # A failed case is left out of the tallies.
         assert r.findings == {"period_histogram": {"1": 3}, "zero_eigenvalue_count": 2}
+
+    def test_tolerance_is_checked_once_per_sweep(self, monkeypatch):
+        calls = []
+        real = spectral.check_tol
+
+        def counted(tol, name="tolerance"):
+            calls.append(tol)
+            real(tol, name)
+
+        monkeypatch.setattr(spectral, "check_tol", counted)
+        monkeypatch.setattr(verify, "check_tol", counted)
+        assert sweep_eigen(3, tol=1e-7).passed
+        assert calls == [1e-7]
+        # The public eigen_check still checks its own argument.
+        spectral.eigen_check(Plm((2, 1)), 1e-7)
+        assert calls == [1e-7, 1e-7]
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, True])
     @pytest.mark.parametrize("workers", [1, 2])
