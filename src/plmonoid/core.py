@@ -23,6 +23,7 @@ internal tuple positions are 0-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -169,13 +170,21 @@ class DenseBinaryMatrix:
         return len(self.entries)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Plm:
     """A permutation-like matrix, stored by its column map (1-based rows).
 
-    The one field lives in a slot, so an instance has no ``__dict__``.
+    The one field lives in a slot, so an instance has no ``__dict__``.  A
+    second slot, ``_peel``, is not a field: :func:`structural_multiply`
+    keeps there the peel plan it builds the first time the matrix is a
+    right factor, so each later product with it only applies the plan.
+    Equality, hash and repr see ``colmap`` alone, and a pickle or copy is
+    rebuilt from it, so it carries no plan.
     """
 
+    # Declared by hand, not by slots=True, which would replace the class
+    # and leave the frozen __setattr__ calling super() with the old one.
+    __slots__ = ("colmap", "_peel")
     colmap: tuple[int, ...]
 
     def __post_init__(self):
@@ -197,15 +206,20 @@ class Plm:
     def __mul__(self, other: "Plm") -> "Plm":
         return multiply(self, other)
 
+    def __reduce__(self):
+        return type(self), (self.colmap,)
 
-# The slot's own setter, which frozenness leaves in place: object.__setattr__
+
+# The slots' own setters, which frozenness leaves in place: object.__setattr__
 # reaches the same setter only after looking the name up.
 _set_colmap = Plm.__dict__["colmap"].__set__
+_set_peel = Plm.__dict__["_peel"].__set__
 
 
 def _plm_trusted(cm: tuple[int, ...]) -> Plm:
     # _trusted for Plm, written out: see there.  The field goes straight into
-    # its slot through the slot's setter, bound once above.
+    # its slot through the slot's setter, bound once above; _peel stays unset
+    # until the value is a right factor of structural_multiply.
     a = object.__new__(Plm)
     _set_colmap(a, cm)
     return a
@@ -391,29 +405,28 @@ def is_permutation(a: Plm) -> bool:
     return len(set(a.colmap)) == a.dim
 
 
-# Column-map kernel.  _classify is the one home of the case tests: the public
-# classify and cplm_parts delegate to it, and the peel in _smul applies it to
-# the slice bm[k:] of the right factor's column map with one = k + 1, the
-# label of that slice's first row.
+# Column-map kernel.  _case is the one home of the case tests, on counts:
+# classify and cplm_parts give it counts that tuple.count takes on the whole
+# map, and the peel plan of structural_multiply gives it the per-label
+# counts it keeps of the live slice, level by level.
 
-def _classify(cm, one: int = 1) -> tuple[str, object]:
-    # (kind, detail): ("rowplm", m), ("cplm", leading), ("pcplm", c) with c
-    # the column of the lone first-row 1, or ("iplm", None).  The first row
-    # is label ``one``, and the columns are numbered from ``one`` as well, so
-    # a slice cm = bm[k:] of a longer map is classified with one = k + 1 and
-    # m and c come back as labels and columns of bm.
-    m = cm[0]
-    if cm.count(m) == len(cm):
-        return "rowplm", m
-    z = cm.count(one)
-    if z == 0:
-        return "cplm", False
+def _case(n: int, same: int, z: int, lead: bool) -> str:
+    # The class of a map of n columns whose first row is some label ``one``:
+    # same columns have their 1 in column 1's row, z have it in row one, and
+    # lead says whether column 1 is one of those z.  "cplm" covers both the
+    # leading CPLM (z == 1 and lead) and the one with an empty first row.
+    if same == n:
+        return "rowplm"
+    if z == 0 or (z == 1 and lead):
+        return "cplm"
     if z == 1:
-        c = cm.index(one) + one
-        if c == one:
-            return "cplm", True
-        return "pcplm", c
-    return "iplm", None
+        return "pcplm"
+    return "iplm"
+
+
+def _map_case(cm) -> str:
+    # The class of a whole column map, by C-level counts.
+    return _case(len(cm), cm.count(cm[0]), cm.count(1), cm[0] == 1)
 
 
 def classify(a: Plm) -> PlmClass:
@@ -423,13 +436,14 @@ def classify(a: Plm) -> PlmClass:
     also canonical but is reported as a row PLM.  The PCPLM witness returned is
     the transposition moving the lone first-row 1 into column 1.
     """
-    kind, detail = _classify(a.colmap)
+    cm = a.colmap
+    kind = _map_case(cm)
     if kind == "rowplm":
-        return PlmClass.row(detail)
+        return PlmClass.row(cm[0])
     if kind == "cplm":
-        return PlmClass.cplm(leading=detail)
+        return PlmClass.cplm(leading=cm[0] == 1)
     if kind == "pcplm":
-        return PlmClass.pcplm(Permutation.transposition(a.dim, 1, detail))
+        return PlmClass.pcplm(Permutation.transposition(a.dim, 1, cm.index(1) + 1))
     return PlmClass.iplm()
 
 
@@ -456,8 +470,8 @@ def cplm_parts(a: Plm) -> CplmParts:
     """Split a CPLM (or a row PLM R_m with m > 1) into leading entry, first
     column tail, and PLC."""
     cm = a.colmap
-    kind, detail = _classify(cm)
-    if not (kind == "cplm" or (kind == "rowplm" and detail > 1)):
+    kind = _map_case(cm)
+    if not (kind == "cplm" or (kind == "rowplm" and cm[0] > 1)):
         raise NotCplmError(f"not canonical: colmap {cm}")
     first = cm[0]
     # v is rows 2..d of column 1; the PLC drops row 1 and column 1.
@@ -517,14 +531,23 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     slices of the column maps from column k+1 on, and the right slice's
     first row is row k+1.  Each level tests the left slice for a row PLM
     (that test only), classifies the right slice, and, for a PCPLM, swaps
-    the lone first-row 1 into column k+1.  The left slice is a row PLM
-    exactly when k is at least the start of the left factor's constant
-    suffix, which is found once per product, so that test costs O(1), and
-    the left slice is never copied: its entries are read off the left
-    factor's whole column map.  The next level's factors are then the
-    slices from column k+2, as they stand, so no label is shifted down on
-    the way in or up on the way out.  Each level, and the IPLM step, costs
-    O(d) time and memory.
+    the lone first-row 1 into column k+1.  The next level's factors are
+    then the slices from column k+2, as they stand, so no label is shifted
+    down on the way in or up on the way out.
+
+    The peel runs in two steps, because its decisions depend on the right
+    factor alone: the case at each level, the swaps, and the level at which
+    the right slice is a row PLM or an IPLM.  The left factor adds one
+    thing, the start s of its constant suffix: the left slice is a row PLM
+    exactly when k is at least s, and the peel stops there if s comes
+    first.  The *plan* of ``b`` (its labels after the swaps, the swaps, and
+    the level where it stops) is built in one O(d) pass that keeps per-label
+    counts of the live right slice and where each label lies, so a level
+    costs O(1).  It is kept in ``b``'s ``_peel`` slot, so ``b`` pays for it
+    once however many products it is the right factor of.  The *apply*
+    step reads the product off ``a``'s column map at the plan's labels,
+    stops at s when s comes first, and undoes the swaps, latest first; the
+    left slice is never copied.  Each step costs O(d) time and memory.
 
     The case analysis runs on raw column maps: the operands are validated once,
     as ``Plm`` values, and no intermediate matrix is validated again.  Always
@@ -537,66 +560,91 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     """
     am, bm = a.colmap, b.colmap
     _require_same_dim(len(am), len(bm))
-    return _plm_trusted(_smul(am, bm))
+    try:
+        plan = b._peel
+    except AttributeError:
+        plan = _plan(bm)
+        _set_peel(b, plan)
+    return _plm_trusted(_apply(am, plan))
 
 
-def _smul(am: tuple[int, ...], bm: tuple[int, ...]) -> tuple[int, ...]:
-    # The structural product of two column maps of equal length, peeled in
-    # place on unshifted labels.  At level k the live factors are the slices
-    # am[k:] and bm[k:]; the right one, b, lies in rows k+1.., so its first
-    # row is label one = k + 1.  Each level decides, in order: left row PLM
-    # (the product is am[k:]); right row PLM R_m (every product column is
-    # the left slice's column m); then an IPLM b gives the rest of the product by the
-    # block step, and a CPLM or PCPLM b (its lone first-row 1 swapped into
-    # column k+1) gives product column k+1.  The only test on the left
-    # slice, the row-PLM test, survives any row relabel, and every case
-    # copies whole columns of it, so each holds whether or not its first row
-    # is empty past column one: it is not relabelled into canonical form,
-    # and each entry is written as read.  The left slice's column labelled
-    # x (its columns are numbered from one, as b's rows are) is am[x - 1],
-    # so the slice is never formed, and it is a row PLM exactly when k is
-    # at least s, the start of am's constant suffix, found once.  Then
-    # b[1:] avoids row one, so it is b's PLC as it stands, and the rest of
-    # the product is am[k+1:] times it (b, a list copy of bm, drops its
-    # first entry in place); the way back only undoes the column swaps,
-    # latest first.
-    s = len(am) - 1
-    while s and am[s - 1] == am[-1]:
-        s -= 1
+def _plan(bm: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    # The peel of a right factor's column map, as (stop, labels, swaps).  At
+    # level k the live right slice is b[k:] of a list copy b of bm, in rows
+    # k+1.., so its first row is label one = k + 1; cnt[x] counts label x in
+    # it, and pos[x] is the last position of x in b, so when one is left
+    # once in the live slice it lies at pos[one] (a swap moves first to a
+    # later column c, so pos[first] becomes c unless first lies past c too).  Each
+    # level decides, in order: row PLM R_m
+    # (every product column from k+1 on is the left slice's column m); IPLM
+    # (the rest of the product is the block step: see _apply); else a CPLM,
+    # or a PCPLM whose lone first-row 1 swaps into column k+1, and product
+    # column k+1 is the left slice's column b[k].  Then b[k+1:] avoids row
+    # one, so it is the PLC as it stands, and the next level drops column
+    # k+1 from the counts.  A slice of one column is a row PLM, and the left
+    # slice is a row PLM there too, which the left test finds first, so the
+    # last level is not classified.  stop is the level the loop ends at, and
+    # b[stop:] is the terminal slice, all m for a row PLM.
+    d = len(bm)
     b = list(bm)
-    out = []  # product columns 1..k
+    cnt = [0] * (d + 1)
+    for x in b:
+        cnt[x] += 1
+    pos = dict(zip(b, range(d)))
     swaps = []
-    one = 1
-    while True:
-        if one > s:  # am[k:] is a row PLM
-            prod = am[one - 1:]
-            break
-        kind, detail = _classify(b, one)
-        if kind == "rowplm":
-            prod = (am[detail - 1],) * len(b)
-            break
-        if kind == "iplm":
-            # Regrouping b's z first-row ones (1 < z < len(b)) into a
-            # leading run gives blocks [[1, u], [0, B']] with u = (1,)*(z-1)
-            # + (0,)*(len(b)-z), and a product whose first z columns are
-            # each the left slice's column 1 (the correction block v*u fills
-            # the z-1 columns in which B' is zero).  Every other column has
-            # its 1 in a row x > one of b, so it is the left slice's column
-            # x - one + 1.  Both are am[x - 1], written straight to each
-            # column's original position; the regrouped matrices and the
-            # correction block are never formed.
-            prod = [am[x - 1] for x in b]
+    k = 0
+    while k < d - 1:
+        one = k + 1
+        first = b[k]
+        kind = _case(d - k, cnt[first], cnt[one], first == one)
+        if kind == "rowplm" or kind == "iplm":
             break
         if kind == "pcplm":
-            c = detail - one
-            b[0], b[c] = b[c], b[0]
-            swaps.append((one - 1, detail - 1))
-        # b's first column has its 1 in row b[0], so product column k+1 is
-        # column b[0] of am.
-        out.append(am[b[0] - 1])
-        del b[0]
-        one += 1
-    out += prod
+            c = pos[one]
+            b[k], b[c] = one, first
+            if pos[first] < c:
+                pos[first] = c
+            swaps.append((k, c))
+            first = one
+        cnt[first] -= 1
+        k += 1
+    return k, tuple(b), tuple(swaps)
+
+
+def _apply(am: tuple[int, ...], plan) -> tuple[int, ...]:
+    # The structural product of am with the right factor whose plan is
+    # given.  The left slice from column k+1 on is read off am, its column
+    # labelled x (its columns are numbered from one, as b's rows are) being
+    # am[x - 1]; it is a row PLM exactly when k is at least s, the start of
+    # am's constant suffix, and the product from column k+1 on is then am[k:]
+    # itself.  The only test on the left slice, the row-PLM test, survives
+    # any row relabel, and every case copies whole columns of it, so each
+    # holds whether or not its first row is empty past column one: it is not
+    # relabelled into canonical form, and each entry is written as read.
+    #
+    # At the plan's stop the right slice is a row PLM R_m, whose product
+    # columns are each the left slice's column m, or an IPLM.  Regrouping an
+    # IPLM's z first-row ones (1 < z < its width) into a leading run gives
+    # blocks [[1, u], [0, B']] with u = (1,)*(z-1) + (0,)*(width-z), and a
+    # product whose first z columns are each the left slice's column 1 (the
+    # correction block v*u fills the z-1 columns in which B' is zero).
+    # Every other column has its 1 in a row x > one, so it is the left
+    # slice's column x - one + 1.  Both cases are am[x - 1] at each label x,
+    # written straight to each column's original position; the regrouped
+    # matrices and the correction block are never formed.  The way back
+    # undoes the swaps made before the loop ended, latest first.
+    stop, labels, swaps = plan
+    s = len(am) - 1
+    last = am[s]
+    while s and am[s - 1] == last:
+        s -= 1
+    if s <= stop:  # the left slice is a row PLM first
+        out = [am[x - 1] for x in labels[:s]]
+        out += am[s:]
+        if swaps:  # those made at levels below s, which come first
+            swaps = swaps[:bisect_left(swaps, (s,))]
+    else:
+        out = [am[x - 1] for x in labels]
     for i, j in reversed(swaps):
         out[i], out[j] = out[j], out[i]
     return tuple(out)

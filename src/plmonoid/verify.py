@@ -218,7 +218,10 @@ def _mul_chunk(d: int, start: int, stop: int):
     # maps are read, and the row walked pair by pair, only when a check
     # fails or a composition product is no PLM of dimension d, so the
     # failure records, and a NotPlmError, come out as a pairwise walk gives
-    # them.
+    # them.  The operands are built here, per chunk, and every row shares
+    # them as right operands: structural_multiply keeps each one's peel
+    # plan on it, so the chunk's first row builds the plans and later rows
+    # only apply them, and nothing carries over to another chunk or sweep.
     for i in range(start // n, -(-stop // n)):
         j0, j1 = max(start - i * n, 0), min(stop - i * n, n)
         a, dense_a = elems[i], denses[i]

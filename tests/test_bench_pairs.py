@@ -231,12 +231,21 @@ def test_traced_record_holds_each_layer_metric(bench_pairs):
         "core.from_dense.calls", "formats.parse_plm_text.self_s", "verify.sweep_eigen.self_s",
     ]
     calls = record["metrics"]["core.from_dense.calls"]
-    assert calls == {"parent": [72, 72, 72], "change": [0, 0, 0], "change_over_parent": 0.0}
+    assert calls == {
+        "parent": [72, 72, 72], "change": [0, 0, 0], "change_over_parent": 0.0, "change_lower": 3,
+    }
     parse = record["metrics"]["formats.parse_plm_text.self_s"]
     assert parse["parent"] == [0.8, 1.0, 0.9]
     assert parse["change_over_parent"] == pytest.approx(0.2 / 0.9)
-    # a layer the parent never entered has no ratio
-    assert record["metrics"]["verify.sweep_eigen.self_s"]["change_over_parent"] is None
+    assert parse["change_lower"] == 3
+    # a layer the parent never entered has no ratio; the change's 0.5 on
+    # one seed is higher there, and the two zeros are ties
+    idle = record["metrics"]["verify.sweep_eigen.self_s"]
+    assert idle["change_over_parent"] is None and idle["change_lower"] == 0
+    assert bench_pairs.traced_line(record, "verify.sweep_eigen.self_s").endswith(
+        "  n/a  lower 0/3")
+    assert bench_pairs.traced_line(record, "formats.parse_plm_text.self_s").endswith(
+        "  x0.222  lower 3/3")
     assert record["counts_differ"] == ["core.from_dense.calls"]
     assert record["counts_equal"] is False
     assert record["order"] == {"1": "parent first", "2": "change first", "3": "parent first"}
@@ -261,6 +270,24 @@ def test_traced_record_lists_the_counts_that_differ(bench_pairs):
     assert record["metrics"]["core.from_dense.calls"]["change_over_parent"] == 1.0
     assert record["counts_differ"] == ["core.from_dense.calls"]
     assert record["counts_equal"] is False
+
+
+def test_traced_record_counts_the_seeds_the_change_reads_lower_on(bench_pairs):
+    # the change's median is lower, yet it reads lower on only two seeds of
+    # four: the count says whether a ratio holds seed by seed
+    parent = [0.184, 0.210, 0.150, 0.255]
+    change = [0.192, 0.220, 0.140, 0.150]
+    runs = {"parent": [fake_traced(72, p) for p in parent],
+            "change": [fake_traced(72, c) for c in change]}
+    record = bench_pairs.summarize_traced([1, 2, 3, 4], runs)
+    parse = record["metrics"]["formats.parse_plm_text.self_s"]
+    assert parse["change_lower"] == 2
+    assert parse["change_over_parent"] == pytest.approx(0.171 / 0.197)
+    # equal values are ties, not wins
+    assert record["metrics"]["core.from_dense.calls"]["change_lower"] == 0
+    line = bench_pairs.traced_line(record, "formats.parse_plm_text.self_s")
+    assert line.startswith("formats.parse_plm_text.self_s")
+    assert line.endswith("  x0.868  lower 2/4")
 
 
 def test_traced_flag_sets_the_trace_option(bench_pairs):

@@ -184,37 +184,38 @@ def test_structural_multiply_is_associative_on_deep_peels(triple):
 @SETTINGS
 @given(st.integers(2, DEEP_D).flatmap(lambda d: st.tuples(permutations(d), permutations(d))))
 def test_permutation_products_peel_every_level(pair):
-    # Neither slice is a row PLM before the last column, so the product
-    # classifies the right slice at every level k = 0..d-2, with first row
-    # one = k + 1, and ends on a row PLM of dimension 1.
+    # Neither slice is a row PLM before the last column, so the plan
+    # classifies the right slice at every level k = 0..d-2, a slice of
+    # d - k columns with first row one = k + 1, and the product ends on a
+    # row PLM of dimension 1.
     a, b = pair
-    with mock.patch.object(core, "_classify", wraps=core._classify) as spy:
+    with mock.patch.object(core, "_case", wraps=core._case) as spy:
         prod = structural_multiply(a, b)
-    assert [call.args[1] for call in spy.call_args_list] == list(range(1, a.dim))
+    assert [a.dim + 1 - call.args[0] for call in spy.call_args_list] == list(range(1, a.dim))
     assert prod == multiply(a, b)
 
 
 SUFFIX_D = 64
 
 
-def suffixed(d):
-    # A column map whose constant suffix has a drawn length 0..d: a free
-    # prefix, then that many copies of one row.  For a suffix of length
-    # 1..d-1 the entry before it differs from the row, so the suffix is
-    # exactly that long; length 0 leaves the whole map free.
-    def build(t):
-        n, m, prefix = t
-        cm = prefix[: d - n] + [m] * n
-        if 0 < n < d and cm[d - n - 1] == m:
-            cm[d - n - 1] = m % d + 1
-        return Plm(tuple(cm))
+def with_suffix(d, n, m, prefix):
+    # A free prefix, then n copies of row m.  For a suffix of length 1..d-1
+    # the entry before it differs from the row, so the suffix is exactly
+    # that long; length 0 leaves the whole map free.
+    cm = prefix[: d - n] + [m] * n
+    if 0 < n < d and cm[d - n - 1] == m:
+        cm[d - n - 1] = m % d + 1
+    return Plm(tuple(cm))
 
+
+def suffixed(d):
+    # A column map whose constant suffix has a drawn length 0..d.
     draw = st.tuples(
         st.integers(0, d),
         st.integers(1, d),
         st.lists(st.integers(1, d), min_size=d, max_size=d),
     )
-    return draw.map(build)
+    return draw.map(lambda t: with_suffix(d, *t))
 
 
 def suffix_operands(d):
@@ -233,6 +234,48 @@ def test_three_routes_agree_for_every_left_suffix(pair):
     a, b = pair
     via_oracle = from_dense(oracle_multiply(to_dense(a), to_dense(b)))
     assert structural_multiply(a, b) == multiply(a, b) == via_oracle
+
+
+def chains(d):
+    # Right factors that take the CPLM case at levels 0..L-1, unless a slice
+    # is a row PLM first: column p has its 1 below row min(p, L), so while
+    # k < L row k+1 is hit at most in column k+1.  Row L+1 is then hit in
+    # the drawn columns from L on: in two or more, the peel stops at level L
+    # on an IPLM (at the top when L = 0) unless that slice is a row PLM.
+    def at_depth(n):
+        rows = st.tuples(*[st.integers(min(p, n) + 1, d) for p in range(d)])
+        hits = st.lists(st.integers(n, d - 1), unique=True, max_size=d - n)
+        return st.tuples(rows, hits).map(
+            lambda t: Plm(tuple(n + 1 if p in t[1] else r for p, r in enumerate(t[0])))
+        )
+
+    return st.integers(0, d - 1).flatmap(at_depth)
+
+
+def reuse_operands(d):
+    rows = st.integers(1, d).map(lambda m: row_plm(d, m))
+    right = st.one_of(permutations(d), chains(d), rows)
+    lefts = st.lists(st.one_of(suffixed(d), permutations(d)), max_size=8)
+    free = st.lists(st.integers(1, d), min_size=d, max_size=d)
+    return st.tuples(right, lefts, free, st.integers(1, d))
+
+
+@SETTINGS
+@given(st.integers(1, DEEP_D).flatmap(reuse_operands))
+def test_one_right_factor_plans_once_for_many_left_factors(case):
+    # The first product with b builds b's plan and the others apply it.
+    # Besides the drawn left factors, b meets one whose constant suffix
+    # starts at each s = 0..d-1, so the peel stops on the left factor
+    # (s <= stop, the plan's last level) and on the right one (s > stop)
+    # wherever b's plan allows both.
+    right, lefts, free, m = case
+    d = right.dim
+    b = Plm(right.colmap)  # a fresh value, with no plan yet
+    lefts += [with_suffix(d, d - s, m, free) for s in range(d)]
+    with mock.patch.object(core, "_plan", wraps=core._plan) as spy:
+        for a in lefts:
+            assert structural_multiply(a, b) == multiply(a, b)
+    spy.assert_called_once_with(b.colmap)
 
 
 @SETTINGS

@@ -26,7 +26,7 @@ from plmonoid import (
     random_left_stochastic,
     to_dense,
 )
-from plmonoid import spectral, verify
+from plmonoid import core, spectral, verify
 from plmonoid.core import _plm_trusted
 from plmonoid.formats import dumps_report
 from plmonoid.verify import (
@@ -222,6 +222,17 @@ class TestMultiplicationSweep:
             assert r.passed
             assert (r.sweep, r.d, r.cases) == ("mul", d, cases)
             assert r.findings == {}
+
+    def test_each_right_operand_plans_its_peel_once_per_sweep(self, monkeypatch):
+        # A chunk builds its operands, so each of the 27 right operands
+        # builds its plan in its first product and applies it in the other
+        # 26, and a second sweep builds every plan again.
+        built = []
+        real = core._plan
+        monkeypatch.setattr(core, "_plan", lambda bm: built.append(bm) or real(bm))
+        for _ in range(2):
+            assert sweep_multiplication(3).passed
+        assert built == list(itertools.product(range(1, 4), repeat=3)) * 2
 
     def test_wrong_structural_product_is_one_failure_record(self, monkeypatch):
         real = verify.structural_multiply

@@ -35,9 +35,12 @@ archive``) records ``git_commit: null``, and a warning is printed for that
 side; ``git worktree add --detach`` or ``git clone`` keeps the commit.
 
 With ``--trace`` each run is ``--trace 1`` instead, in the same order, and
-the record holds every per-layer metric: both sides' values by seed and
+the record holds every per-layer metric: both sides' values by seed,
 ``change_over_parent``, the change's median over the parent's (null when the
-parent's median is 0).  The traced pass is fixed, so a change that keeps the
+parent's median is 0), and ``change_lower``, the number of seeds on which
+the change reads lower (ties count for neither side).  A self time read on
+two seeds can point the other way from ten, so the printed line for each
+metric gives both.  The traced pass is fixed, so a change that keeps the
 work the same keeps every ``count`` metric (calls, branches, steps) the same:
 ``counts_differ`` lists each one whose values differ between the two sides on
 some seed, a line is printed for each, and ``counts_equal`` is true when the
@@ -181,11 +184,20 @@ def summarize_traced(seeds: list[int], runs: dict) -> dict:
         values = metric_values(runs, name)
         parent = statistics.median(values["parent"])
         ratio = statistics.median(values["change"]) / parent if parent else None
-        record["metrics"][name] = {**values, "change_over_parent": ratio}
+        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        record["metrics"][name] = {**values, "change_over_parent": ratio, "change_lower": lower}
         if metric["unit"] == "count" and values["parent"] != values["change"]:
             record["counts_differ"].append(name)
     record["counts_equal"] = not record["counts_differ"]
     return record
+
+
+def traced_line(record: dict, name: str) -> str:
+    """The printed summary of one per-layer metric of a traced record."""
+    s = record["metrics"][name]
+    ratio = "n/a" if s["change_over_parent"] is None else f"x{s['change_over_parent']:.3f}"
+    return (f"{name:40s} parent {s['parent']}  change {s['change']}  {ratio}"
+            f"  lower {s['change_lower']}/{len(record['seeds'])}")
 
 
 def main() -> int:
@@ -241,7 +253,7 @@ def main() -> int:
         print(f"{name}: the count differs between the two sides", file=sys.stderr)
     for name, s in record["metrics"].items():
         if args.trace:
-            print(f"{name:40s} parent {s['parent']}  change {s['change']}", file=sys.stderr)
+            print(traced_line(record, name), file=sys.stderr)
         else:
             print(pair_line(record, name), file=sys.stderr)
             if not s["within_bound"]:
