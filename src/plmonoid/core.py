@@ -23,7 +23,7 @@ internal tuple positions are 0-based.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -501,97 +501,71 @@ def tail_column_block(a: Plm, n: int) -> DenseBinaryMatrix:
 
 
 def structural_multiply(a: Plm, b: Plm) -> Plm:
-    """Multiply by structural case analysis instead of raw composition.
+    """Multiply by the structural case analysis of the right factor.
 
-    Dispatch:
+    The right factor is peeled level by level, as the paper's multiplication
+    formulas recurse: at level k the live slice is its columns k+1.. in rows
+    k+1.., and the slice's class decides the step.  A CPLM gives product
+    column k+1 as a column of the left factor and leaves its PLC as the next
+    slice; a PCPLM first swaps its lone first-row 1 into column k+1, by its
+    column witness; a row PLM R_m or an IPLM ends the peel, and each product
+    column from there on is the left factor's column at the slice's label:
+    column m for R_m, and for an IPLM the columns of the block formula, with
+    the correction block read off the column map instead of formed.  Every
+    case copies whole columns of the left factor, and a row relabelling
+    moves no column, so the left factor is read as it stands, never brought
+    into canonical form.
 
-    1. left factor a row PLM: the product is that row PLM (left absorption);
-    2. right factor a row PLM R_m: every product column is column m of ``a``;
-    3. otherwise the right factor decides the case, and the left factor is
-       read as it stands: each case reads product columns off columns of
-       the left factor, and a row relabelling moves no column, so the left
-       factor is not brought into canonical form (:func:`canonicalize`
-       gives that form to callers that want it).
+    The peel depends on ``b`` alone.  Its plan (:func:`_plan`: the labels
+    after the swaps, and the swaps) is built in one O(d) loop, with no
+    recursion, so any dimension works, and is kept in ``b``'s ``_peel``
+    slot: ``b`` pays for it once however many products it is the right
+    factor of.  A product is then one gather of the left factor's columns at
+    the plan's labels, with the swaps undone, in O(d) time and memory.
 
-    A CPLM right factor gives product column 1 as a column of the left
-    factor, and the rest as the product of the left factor's columns 2..d
-    with the right factor's PLC; a PCPLM is brought into canonical position
-    by its column witness; and an IPLM is handled by regrouping its
-    first-row ones into a leading run: the product's columns in that run
-    are column 1 of the left factor, and each other column is the column of
-    the left factor that the right factor's row in the lower block picks.
-    Each column is read off the column maps and written straight to its
-    original position, so the regrouped matrices and the correction block
-    are never formed.
-
-    The products with the PLC run as a loop, not a recursion, so a
-    permutation of any dimension (which takes the CPLM or PCPLM case at
-    every step) multiplies without hitting the recursion limit.  The loop
-    peels in place on unshifted labels: at level k the live factors are the
-    slices of the column maps from column k+1 on, and the right slice's
-    first row is row k+1.  Each level tests the left slice for a row PLM
-    (that test only), classifies the right slice, and, for a PCPLM, swaps
-    the lone first-row 1 into column k+1.  The next level's factors are
-    then the slices from column k+2, as they stand, so no label is shifted
-    down on the way in or up on the way out.
-
-    The peel runs in two steps, because its decisions depend on the right
-    factor alone: the case at each level, the swaps, and the level at which
-    the right slice is a row PLM or an IPLM.  The left factor adds one
-    thing, the start s of its constant suffix: the left slice is a row PLM
-    exactly when k is at least s, and the peel stops there if s comes
-    first.  The *plan* of ``b`` (its labels after the swaps, the swaps, and
-    the level where it stops) is built in one O(d) pass that keeps per-label
-    counts of the live right slice and where each label lies, so a level
-    costs O(1).  It is kept in ``b``'s ``_peel`` slot, so ``b`` pays for it
-    once however many products it is the right factor of.  The *apply*
-    step reads the product off ``a``'s column map at the plan's labels,
-    stops at s when s comes first, and undoes the swaps, latest first; the
-    left slice is never copied.  Each step costs O(d) time and memory.
-
-    The case analysis runs on raw column maps: the operands are validated once,
-    as ``Plm`` values, and no intermediate matrix is validated again.  Always
-    agrees with :func:`multiply`.  The two routes are not independent: the
-    case split decides when the peel stops and which columns swap back, but
-    every case reads a product entry as composition does, as the left
-    factor's column at the right factor's label.  The dense oracle in
-    ``verify`` shares no formula with either.  ROADMAP item 16 decides what
-    this route should be.
+    The operands are validated once, as ``Plm`` values.  The route always
+    agrees with :func:`multiply`, and is not independent of it: undoing the
+    swaps on the gather at the swapped labels gives the gather at ``b``'s
+    own labels, which is composition.  So the structural leg of the
+    multiplication sweep checks the peel's bookkeeping, and the dense oracle
+    in ``verify`` is the independent check.  What this route should be is
+    ROADMAP item 16's decision.
     """
     am, bm = a.colmap, b.colmap
     _require_same_dim(len(am), len(bm))
     try:
-        plan = b._peel
+        labels, undo = b._peel
     except AttributeError:
-        plan = _plan(bm)
+        labels, undo = plan = _plan(bm)
         _set_peel(b, plan)
-    return _plm_trusted(_apply(am, plan))
+    out = [am[x - 1] for x in labels]
+    swaps = iter(undo)
+    for i, j in zip(swaps, swaps):
+        out[i], out[j] = out[j], out[i]
+    return _plm_trusted(tuple(out))
 
 
-def _plan(bm: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    # The peel of a right factor's column map, as (stop, labels, swaps).  At
-    # level k the live right slice is b[k:] of a list copy b of bm, in rows
-    # k+1.., so its first row is label one = k + 1; cnt[x] counts label x in
-    # it, and pos[x] is the last position of x in b, so when one is left
-    # once in the live slice it lies at pos[one] (a swap moves first to a
-    # later column c, so pos[first] becomes c unless first lies past c too).  Each
-    # level decides, in order: row PLM R_m
-    # (every product column from k+1 on is the left slice's column m); IPLM
-    # (the rest of the product is the block step: see _apply); else a CPLM,
-    # or a PCPLM whose lone first-row 1 swaps into column k+1, and product
-    # column k+1 is the left slice's column b[k].  Then b[k+1:] avoids row
-    # one, so it is the PLC as it stands, and the next level drops column
-    # k+1 from the counts.  A slice of one column is a row PLM, and the left
-    # slice is a row PLM there too, which the left test finds first, so the
-    # last level is not classified.  stop is the level the loop ends at, and
-    # b[stop:] is the terminal slice, all m for a row PLM.
+def _plan(bm: tuple[int, ...]) -> tuple[tuple[int, ...], array]:
+    # The peel of a right factor's column map, as (labels, undo).  At level k
+    # the live slice is b[k:] of a list copy b of bm, in rows k+1.., so its
+    # first row is label one = k + 1; cnt[x] counts label x in it, and pos[x]
+    # is the last position of x in b, so when one is left once in the slice
+    # it lies at pos[one] (a swap moves first to a later column c, so
+    # pos[first] becomes c unless first lies past c too).  A row PLM or an
+    # IPLM ends the peel.  Else the slice is a CPLM, or a PCPLM whose lone
+    # first-row 1 swaps into column k+1; then b[k+1:] avoids row one, so it
+    # is the PLC as it stands, and the next level drops column k+1 from the
+    # counts.  A slice of one column is a row PLM, so the last level is not
+    # classified.  The swap stores b[c], not one, so labels share bm's ints;
+    # undo holds the swaps' column pairs flat, in an array of C longs, and
+    # reversed, so latest first (a swap is the same either way round).
     d = len(bm)
     b = list(bm)
     cnt = [0] * (d + 1)
     for x in b:
         cnt[x] += 1
     pos = dict(zip(b, range(d)))
-    swaps = []
+    undo = array("l")
     k = 0
     while k < d - 1:
         one = k + 1
@@ -601,50 +575,13 @@ def _plan(bm: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, i
             break
         if kind == "pcplm":
             c = pos[one]
-            b[k], b[c] = one, first
+            b[k], b[c] = b[c], first
             if pos[first] < c:
                 pos[first] = c
-            swaps.append((k, c))
+            undo.append(k)
+            undo.append(c)
             first = one
         cnt[first] -= 1
         k += 1
-    return k, tuple(b), tuple(swaps)
-
-
-def _apply(am: tuple[int, ...], plan) -> tuple[int, ...]:
-    # The structural product of am with the right factor whose plan is
-    # given.  The left slice from column k+1 on is read off am, its column
-    # labelled x (its columns are numbered from one, as b's rows are) being
-    # am[x - 1]; it is a row PLM exactly when k is at least s, the start of
-    # am's constant suffix, and the product from column k+1 on is then am[k:]
-    # itself.  The only test on the left slice, the row-PLM test, survives
-    # any row relabel, and every case copies whole columns of it, so each
-    # holds whether or not its first row is empty past column one: it is not
-    # relabelled into canonical form, and each entry is written as read.
-    #
-    # At the plan's stop the right slice is a row PLM R_m, whose product
-    # columns are each the left slice's column m, or an IPLM.  Regrouping an
-    # IPLM's z first-row ones (1 < z < its width) into a leading run gives
-    # blocks [[1, u], [0, B']] with u = (1,)*(z-1) + (0,)*(width-z), and a
-    # product whose first z columns are each the left slice's column 1 (the
-    # correction block v*u fills the z-1 columns in which B' is zero).
-    # Every other column has its 1 in a row x > one, so it is the left
-    # slice's column x - one + 1.  Both cases are am[x - 1] at each label x,
-    # written straight to each column's original position; the regrouped
-    # matrices and the correction block are never formed.  The way back
-    # undoes the swaps made before the loop ended, latest first.
-    stop, labels, swaps = plan
-    s = len(am) - 1
-    last = am[s]
-    while s and am[s - 1] == last:
-        s -= 1
-    if s <= stop:  # the left slice is a row PLM first
-        out = [am[x - 1] for x in labels[:s]]
-        out += am[s:]
-        if swaps:  # those made at levels below s, which come first
-            swaps = swaps[:bisect_left(swaps, (s,))]
-    else:
-        out = [am[x - 1] for x in labels]
-    for i, j in reversed(swaps):
-        out[i], out[j] = out[j], out[i]
-    return tuple(out)
+    undo.reverse()
+    return tuple(b), undo

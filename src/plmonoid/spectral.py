@@ -31,10 +31,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Plm, _json_fields, _plm_trusted, _require_ints, multiply, to_dense
+from .core import Plm, _json_fields, _plm_trusted, _require_ints, multiply
 from .errors import InvalidArgumentError, RootFindingError
 
 DEFAULT_TOL = 1e-9
@@ -124,12 +125,20 @@ def power(a: Plm, k: int) -> Plm:
     return result
 
 
-def _graph(cm) -> tuple[int, list[int], int | None, int]:
-    # A's functional graph j -> cm[j - 1], peeled of its in-degree-0 nodes
-    # round by round (Kahn's order).  The number of rounds is the longest path
-    # from a node into a cycle.  Returns that, at least 1, the lengths of the
-    # cycles left, the node of the one cycle when it is a lone fixed point,
-    # else None, and the lcm of the lengths.  O(d).
+class _Graph(NamedTuple):
+    # One pass over A's functional graph j -> cm[j - 1]: see _graph.
+    tail: int
+    lengths: list[int]
+    fixed: int | None
+    period: int
+
+
+def _graph(cm) -> _Graph:
+    # A's functional graph, peeled of its in-degree-0 nodes round by round
+    # (Kahn's order).  The number of rounds is the longest path from a node
+    # into a cycle.  Returns that, at least 1, as the tail; the lengths of
+    # the cycles left; the node of the one cycle when it is a lone fixed
+    # point, else None; and the period, the lcm of the lengths.  O(d).
     indeg = [0] * (len(cm) + 1)
     for r in cm:
         indeg[r] += 1
@@ -149,7 +158,7 @@ def _graph(cm) -> tuple[int, list[int], int | None, int]:
         if n:
             lengths.append(n)
             m = j
-    return max(1, height), lengths, m if lengths == [1] else None, math.lcm(*lengths)
+    return _Graph(max(1, height), lengths, m if lengths == [1] else None, math.lcm(*lengths))
 
 
 def power_cycle(a: Plm) -> PowerCycle:
@@ -160,8 +169,8 @@ def power_cycle(a: Plm) -> PowerCycle:
     the tail is the longest path into a cycle, at least 1, and the period the
     lcm of the cycle lengths.  One O(d) pass, whatever the period.
     """
-    tail, _, _, period = _graph(a.colmap)
-    return PowerCycle(tail, period)
+    g = _graph(a.colmap)
+    return PowerCycle(g.tail, g.period)
 
 
 def periodicity(a: Plm) -> PeriodicityVerdict:
@@ -172,12 +181,12 @@ def periodicity(a: Plm) -> PeriodicityVerdict:
     node's distance to m.  Then A is pre-row with e = s and that m, and with
     s = 1 the same test gives ``is_prerow``.
     """
-    s, _, m, t = _graph(a.colmap)
-    if s == 1:
-        return PeriodicityVerdict.periodic(k=t, is_prerow=m is not None)
-    if m is not None:
-        return PeriodicityVerdict.prerow(e=s, m=m)
-    return PeriodicityVerdict.eventually_periodic(s=s, t=t)
+    g = _graph(a.colmap)
+    if g.tail == 1:
+        return PeriodicityVerdict.periodic(k=g.period, is_prerow=g.fixed is not None)
+    if g.fixed is not None:
+        return PeriodicityVerdict.prerow(e=g.tail, m=g.fixed)
+    return PeriodicityVerdict.eventually_periodic(s=g.tail, t=g.period)
 
 
 def char_poly(a: Plm) -> CharPoly:
@@ -207,10 +216,13 @@ def char_poly(a: Plm) -> CharPoly:
 
 
 def one_norm(a: Plm) -> int:
-    """Maximum column sum of the dense form.  Always 1 for a PLM."""
-    dense = to_dense(a).entries
+    """Maximum column sum of the matrix.  Always 1 for a PLM.
+
+    Column j holds one nonzero entry, the 1 in row ``colmap[j - 1]``, so
+    its sum is read off the column map in O(d), with no dense form.
+    """
     d = a.dim
-    return max(sum(dense[i][j] for i in range(d)) for j in range(d))
+    return max(int(1 <= r <= d) for r in a.colmap)
 
 
 # --- polynomial helpers over Z, coefficients leading-first ---
@@ -348,17 +360,17 @@ def eigen_check(a: Plm, tol: float = DEFAULT_TOL) -> EigenReport:
 def _eigen_check(a: Plm, tol: float) -> EigenReport:
     # eigen_check for a tolerance already checked: sweep_eigen checks it once
     # for all its matrices.
-    tail, lengths, _, period = _graph(a.colmap)
-    exact_ok = power(a, tail + period) == power(a, tail)
+    g = _graph(a.colmap)
+    exact_ok = power(a, g.tail + g.period) == power(a, g.tail)
     cp = char_poly(a)
-    factors = _squarefree_factors(a.dim, lengths)
+    factors = _squarefree_factors(a.dim, g.lengths)
     _certify(cp.coefficients, factors)
     has_zero = cp.coefficients[-1] == 0
     try:
         roots = _roots_with_multiplicity(factors)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"numeric root finding failed: {exc}") from exc
-    dev = max_unity_deviation(roots, period, tol)
+    dev = max_unity_deviation(roots, g.period, tol)
     if dev > tol:
         raise RootFindingError(
             f"some root sits {dev:.3e} away from the allowed spectrum", deviation=dev
@@ -367,7 +379,7 @@ def _eigen_check(a: Plm, tol: float) -> EigenReport:
     return EigenReport(
         has_zero=has_zero,
         roots_of_unity_ok=exact_ok,
-        period=period,
+        period=g.period,
         numeric_eigenvalues=tuple(roots),
         spectral_radius_numeric=radius,
     )

@@ -677,9 +677,9 @@ class TestStructuralMultiply:
         # PCPLM case at every level; peeled level by level, at O(d) each,
         # it took 0.29 s at d = 4000 and would take minutes here.  The IPLM
         # has 25,000 first-row ones and takes the block step at the top.
-        # Readings of the change: 0.12-0.16 s and 0.03-0.05 s (2-CPU x86-64
-        # VM, Python 3.11), so the budget of 1 s is six times the slowest.
-        # The peak, by tracemalloc, was 227 and 69 bytes per column.
+        # Readings: 0.11-0.26 s and 0.03 s (2-CPU x86-64 VM, Python 3.11),
+        # so the budget of 1 s is four times the slowest.  The peak, by
+        # tracemalloc, was 123 and 69 bytes per column.
         rng = random.Random(47)
         d = 100_000
 
@@ -718,6 +718,24 @@ class TestStructuralMultiply:
                 assert prod == multiply(a, b)
                 assert not hasattr(a, "_peel") and not hasattr(prod, "_peel")
         spy.assert_called_once_with(b.colmap)
+
+    def test_a_kept_plan_is_no_larger_than_the_column_map(self):
+        # A random permutation swaps at almost every level (99,980 swaps
+        # here), and its plan lives as long as the value does.  A column map
+        # of large ints takes about 40 B a column: a pointer and an int.
+        # Kept as a tuple per swap with a fresh int per swapped label, the
+        # plan took 152 B a column; the plan's labels share the map's ints.
+        rng = random.Random(53)
+        d = 100_000
+        a, b = identity(d), Plm(tuple(rng.sample(range(1, d + 1), d)))
+        tracemalloc.start()
+        try:
+            structural_multiply(a, b)  # the product is dropped; the plan stays on b
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert hasattr(b, "_peel")
+        assert kept <= 40 * d, f"the plan keeps {kept / d:.1f} B a column"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -184,10 +184,10 @@ def test_structural_multiply_is_associative_on_deep_peels(triple):
 @SETTINGS
 @given(st.integers(2, DEEP_D).flatmap(lambda d: st.tuples(permutations(d), permutations(d))))
 def test_permutation_products_peel_every_level(pair):
-    # Neither slice is a row PLM before the last column, so the plan
-    # classifies the right slice at every level k = 0..d-2, a slice of
-    # d - k columns with first row one = k + 1, and the product ends on a
-    # row PLM of dimension 1.
+    # The right slice is never a row PLM or an IPLM before the last column,
+    # so the plan classifies it at every level k = 0..d-2, a slice of d - k
+    # columns with first row one = k + 1, and the peel ends on a row PLM of
+    # dimension 1.
     a, b = pair
     with mock.patch.object(core, "_case", wraps=core._case) as spy:
         prod = structural_multiply(a, b)
@@ -228,9 +228,10 @@ def suffix_operands(d):
 @SETTINGS
 @given(st.integers(1, SUFFIX_D).flatmap(suffix_operands))
 def test_three_routes_agree_for_every_left_suffix(pair):
-    # The peel stops on the left factor at the first level k with k at
-    # least the start of its constant suffix; every suffix length, R_1,
-    # the identity and permutations (suffix of length 1) meet it there.
+    # Left factors with a constant suffix of every length, R_1, the
+    # identity and permutations (a suffix of length 1).  The structural
+    # route decides from the right factor alone, so no shape of the left
+    # factor may change how a product column is read.
     a, b = pair
     via_oracle = from_dense(oracle_multiply(to_dense(a), to_dense(b)))
     assert structural_multiply(a, b) == multiply(a, b) == via_oracle
@@ -265,9 +266,8 @@ def reuse_operands(d):
 def test_one_right_factor_plans_once_for_many_left_factors(case):
     # The first product with b builds b's plan and the others apply it.
     # Besides the drawn left factors, b meets one whose constant suffix
-    # starts at each s = 0..d-1, so the peel stops on the left factor
-    # (s <= stop, the plan's last level) and on the right one (s > stop)
-    # wherever b's plan allows both.
+    # starts at each s = 0..d-1, before, at and after the level where b's
+    # peel ends, so no left factor's shape may call for a plan of its own.
     right, lefts, free, m = case
     d = right.dim
     b = Plm(right.colmap)  # a fresh value, with no plan yet
@@ -387,7 +387,7 @@ def cycle_typed(draw):
 def test_squarefree_factors_match_sympy(a):
     sympy = pytest.importorskip("sympy")
     _, expected = sympy.sqf_list(sympy.Poly(char_poly(a).coefficients, sympy.Symbol("x")))
-    factors = _squarefree_factors(a.dim, _graph(a.colmap)[1])
+    factors = _squarefree_factors(a.dim, _graph(a.colmap).lengths)
     assert factors == [([int(c) for c in g.all_coeffs()], m) for g, m in expected]
 
 
