@@ -177,7 +177,8 @@ class Plm:
     The one field lives in a slot, so an instance has no ``__dict__``.  A
     second slot, ``_peel``, is not a field: :func:`structural_multiply`
     keeps there the peel plan it builds the first time the matrix is a
-    right factor, so each later product with it only applies the plan.
+    right factor, a gather of the left factor's columns and the swaps to
+    undo, so each later product with it only applies the plan.
     Equality, hash and repr see ``colmap`` alone, and a pickle or copy is
     rebuilt from it, so it carries no plan.
     """
@@ -516,37 +517,41 @@ def structural_multiply(a: Plm, b: Plm) -> Plm:
     moves no column, so the left factor is read as it stands, never brought
     into canonical form.
 
-    The peel depends on ``b`` alone.  Its plan (:func:`_plan`: the labels
-    after the swaps, and the swaps) is built in one O(d) loop, with no
-    recursion, so any dimension works, and is kept in ``b``'s ``_peel``
-    slot: ``b`` pays for it once however many products it is the right
-    factor of.  A product is then one gather of the left factor's columns at
-    the plan's labels, with the swaps undone, in O(d) time and memory.
+    The peel depends on ``b`` alone.  Its plan (:func:`_plan`: a gather at
+    the labels after the swaps, and the swaps) is built in one O(d) loop,
+    with no recursion, so any dimension works, and is kept in ``b``'s
+    ``_peel`` slot: ``b`` pays for it once however many products it is the
+    right factor of.  A product is then one ``itemgetter`` call, which picks
+    the left factor's columns at the plan's labels in C, and the swaps are
+    undone only if the plan has any, in O(d) time and memory.
 
     The operands are validated once, as ``Plm`` values.  The route always
-    agrees with :func:`multiply`, and is not independent of it: undoing the
-    swaps on the gather at the swapped labels gives the gather at ``b``'s
-    own labels, which is composition.  So the structural leg of the
-    multiplication sweep checks the peel's bookkeeping, and the dense oracle
-    in ``verify`` is the independent check.  What this route should be is
-    ROADMAP item 16's decision.
+    agrees with :func:`multiply`, and is not independent of it: the gather
+    is the read that composition makes, at the swapped labels, and undoing
+    the swaps gives the gather at ``b``'s own labels, which is composition.
+    So the structural leg of the multiplication sweep checks the peel's
+    bookkeeping, and the dense oracle in ``verify`` is the independent
+    check.  What this route should be is ROADMAP item 16's decision.
     """
     am, bm = a.colmap, b.colmap
     _require_same_dim(len(am), len(bm))
     try:
-        labels, undo = b._peel
+        gather, undo = b._peel
     except AttributeError:
-        labels, undo = plan = _plan(bm)
+        gather, undo = plan = _plan(bm)
         _set_peel(b, plan)
-    out = [am[x - 1] for x in labels]
-    swaps = iter(undo)
-    for i, j in zip(swaps, swaps):
-        out[i], out[j] = out[j], out[i]
-    return _plm_trusted(tuple(out))
+    out = gather((0,) + am)
+    if undo:
+        out = list(out)
+        swaps = iter(undo)
+        for i, j in zip(swaps, swaps):
+            out[i], out[j] = out[j], out[i]
+        out = tuple(out)
+    return _plm_trusted(out)
 
 
-def _plan(bm: tuple[int, ...]) -> tuple[tuple[int, ...], array]:
-    # The peel of a right factor's column map, as (labels, undo).  At level k
+def _plan(bm: tuple[int, ...]) -> tuple[itemgetter, array]:
+    # The peel of a right factor's column map, as (gather, undo).  At level k
     # the live slice is b[k:] of a list copy b of bm, in rows k+1.., so its
     # first row is label one = k + 1; cnt[x] counts label x in it, and pos[x]
     # is the last position of x in b, so when one is left once in the slice
@@ -556,9 +561,10 @@ def _plan(bm: tuple[int, ...]) -> tuple[tuple[int, ...], array]:
     # first-row 1 swaps into column k+1; then b[k+1:] avoids row one, so it
     # is the PLC as it stands, and the next level drops column k+1 from the
     # counts.  A slice of one column is a row PLM, so the last level is not
-    # classified.  The swap stores b[c], not one, so labels share bm's ints;
-    # undo holds the swaps' column pairs flat, in an array of C longs, and
-    # reversed, so latest first (a swap is the same either way round).
+    # classified.  The swap stores b[c], not one, so the labels b ends with
+    # are bm's own ints; undo holds the swaps' column pairs flat, in an
+    # array of C longs, and reversed, so latest first (a swap is the same
+    # either way round).
     d = len(bm)
     b = list(bm)
     cnt = [0] * (d + 1)
@@ -584,4 +590,10 @@ def _plan(bm: tuple[int, ...]) -> tuple[tuple[int, ...], array]:
         cnt[first] -= 1
         k += 1
     undo.reverse()
-    return tuple(b), undo
+    # gather picks entry x of (0,) + am for each label x, which is column x
+    # of the left factor.  It keeps the tuple of labels it is made with, so
+    # the plan holds a pointer a column and shares bm's ints.  An itemgetter
+    # of one index returns the item, not a tuple; at d = 1 the one label is
+    # 1, and the slice over it keeps the tuple.
+    gather = itemgetter(*b) if d > 1 else itemgetter(slice(1, 2))
+    return gather, undo

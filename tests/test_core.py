@@ -262,7 +262,9 @@ class TestSlottedPlm:
     @pytest.mark.parametrize("cm", [(1,), (2, 1), (2, 3, 1), (1, 1, 3), (3, 1, 2, 1), (4, 4, 2, 3)])
     def test_copies_carry_no_plan(self, cm):
         # structural_multiply keeps the right factor's plan in the second
-        # slot; a pickle or copy is rebuilt from colmap alone.
+        # slot; a pickle or copy is rebuilt from colmap alone.  The plan's
+        # gather is an itemgetter, which compares by identity, so the copy's
+        # plan is compared by what it holds: the gather's labels and undo.
         b = Plm(cm)
         lefts = enumerate_plms(len(cm))
         products = [structural_multiply(a, b) for a in lefts]
@@ -272,7 +274,8 @@ class TestSlottedPlm:
             assert type(c) is Plm and c is not b and not hasattr(c, "_peel")
             assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
             assert [structural_multiply(a, c) for a in lefts] == products
-            assert c._peel == plan
+            (gather, undo), (kept, kept_undo) = c._peel, plan
+            assert gather.__reduce__()[1] == kept.__reduce__()[1] and undo == kept_undo
         assert b._peel is plan
 
 
@@ -737,12 +740,33 @@ class TestStructuralMultiply:
         assert hasattr(b, "_peel")
         assert kept <= 40 * d, f"the plan keeps {kept / d:.1f} B a column"
 
+    def test_a_kept_plan_shares_the_column_map_ints(self):
+        # The gather keeps the tuple of labels it was made with; every label
+        # must be one of b's own int objects, not a fresh int, or the plan
+        # would take about 32 B more a column.  Labels above 256 are not
+        # interned, so identity tells them apart.
+        rng = random.Random(59)
+        d = 2000
+        b = Plm(tuple(rng.sample(range(1, d + 1), d)))
+        structural_multiply(identity(d), b)
+        gather, undo = b._peel
+        labels = gather.__reduce__()[1]
+        assert len(undo) > 0 and sorted(labels) == list(range(1, d + 1))
+        own = {id(x) for x in b.colmap}
+        assert all(id(x) in own for x in labels)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             structural_multiply(identity(2), identity(3))
 
     def test_dimension_one(self):
-        assert structural_multiply(Plm((1,)), Plm((1,))) == Plm((1,))
+        # An itemgetter of one index returns the item, not a tuple, so d = 1
+        # has its own gather; the second product goes through the kept plan.
+        b = Plm((1,))
+        for _ in range(2):
+            prod = structural_multiply(Plm((1,)), b)
+            assert prod == Plm((1,)) and type(prod.colmap) is tuple
+        assert hasattr(b, "_peel")
 
     def test_identity_at_large_dimension(self):
         # every step takes the CPLM case, so a recursion would go 2000 deep
